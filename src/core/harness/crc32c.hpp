@@ -1,8 +1,10 @@
-// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) — the checksum the
-// run ledger appends to every JSONL record so replay can tell bit-rot from
-// a torn tail. Software table implementation: the harness never checksums
-// enough bytes per record for SSE4.2 to matter, and a portable table keeps
-// the build dependency-free.
+// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) — the tree's one
+// integrity checksum: the run ledger appends it to every JSONL record so
+// replay can tell bit-rot from a torn tail, and each locprivd shard
+// snapshot carries it over its whole body (megabytes per round). Portable
+// slice-by-8 software tables: eight lookups per 8-byte word keep snapshot
+// checksumming well under a nanosecond per byte without SSE4.2 intrinsics,
+// so the build stays dependency-free.
 #pragma once
 
 #include <cstdint>

@@ -18,6 +18,7 @@
 
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
+#include "util/strings.hpp"
 #include "util/sync.hpp"
 
 namespace locpriv::harness {
@@ -73,15 +74,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 // ---------------------------------------------------------------------------
@@ -343,9 +335,10 @@ std::chrono::milliseconds backoff_delay(const SupervisorOptions& options,
   const int exponent = std::min(attempt - 2, 20);
   const std::int64_t base = options.backoff_base.count();
   const std::int64_t scaled = base << exponent;
-  const std::uint64_t jitter = splitmix64(options.backoff_seed ^ fnv1a(cell) ^
-                                          static_cast<std::uint64_t>(attempt)) %
-                               static_cast<std::uint64_t>(base);
+  const std::uint64_t jitter =
+      splitmix64(options.backoff_seed ^ util::fnv1a64(cell) ^
+                 static_cast<std::uint64_t>(attempt)) %
+      static_cast<std::uint64_t>(base);
   return std::chrono::milliseconds(scaled + static_cast<std::int64_t>(jitter));
 }
 

@@ -8,13 +8,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 
 #include "core/harness/file_ops.hpp"
 #include "core/harness/supervisor.hpp"
 #include "service/shard_child.hpp"
 #include "service/snapshot.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 
@@ -27,21 +27,10 @@ volatile std::sig_atomic_t g_shutdown = 0;
 constexpr std::size_t kOutbufCompactBytes = 1 << 20;
 constexpr std::size_t kMaxRecoveryRecords = 4096;
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::uint64_t parse_u64(const std::string& token) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
-    throw Error(ErrorCode::kInternal,
-                "bad integer in shard response: " + token);
+  std::uint64_t value = 0;
+  if (!util::parse_uint64(token, value))
+    throw Error(ErrorCode::kInternal, "bad integer in shard response: " + token);
   return value;
 }
 
@@ -246,7 +235,7 @@ unsigned LocprivService::shard_of(const std::string& user_id) const {
   const auto it = user_shard_.find(user_id);
   if (it != user_shard_.end()) return it->second;
   const auto shard =
-      static_cast<unsigned>(fnv1a(user_id) % options_.shards);
+      static_cast<unsigned>(util::fnv1a64(user_id) % options_.shards);
   user_shard_.emplace(user_id, shard);
   return shard;
 }
@@ -508,20 +497,10 @@ Admission LocprivService::submit(const std::string& user_id,
     }
   }
 
-  std::vector<std::string> fields;
-  fields.reserve(4 + fixes.size() * 3);
-  fields.push_back(wire::kCmdSubmit);
-  fields.push_back(std::to_string(seq));
-  fields.push_back(user_id);
-  fields.push_back(std::to_string(fixes.size()));
-  for (const trace::TracePoint& fix : fixes) {
-    fields.push_back(format_coord(fix.position.lat_deg));
-    fields.push_back(format_coord(fix.position.lon_deg));
-    fields.push_back(std::to_string(fix.timestamp_s));
-  }
   RetainedBatch batch;
   batch.seq = seq;
-  batch.frame = wire::encode_message(fields);
+  batch.frame = wire::encode_message(
+      {wire::kCmdSubmit, std::to_string(seq), user_id, pack_fixes(fixes)});
   batch.fixes = fixes.size();
   batch.user = user_id;
   shard.retained_bytes += batch.frame.size();

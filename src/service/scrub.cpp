@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string_view>
@@ -13,6 +12,7 @@
 #include "core/harness/error.hpp"
 #include "core/harness/file_ops.hpp"
 #include "service/snapshot.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 
@@ -26,11 +26,10 @@ bool parse_snap_key(const std::string& key, std::string& shard,
                     std::uint64_t& seq) {
   const std::size_t mark = key.find("/snap/");
   if (mark == std::string::npos) return false;
-  const std::string tail = key.substr(mark + 6);
-  if (tail.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(tail.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0) return false;
+  std::uint64_t value = 0;
+  if (!util::parse_uint64(std::string_view(key).substr(mark + 6), value) ||
+      value == 0)
+    return false;
   shard = key.substr(0, mark);
   seq = value;
   return true;
@@ -39,17 +38,16 @@ bool parse_snap_key(const std::string& key, std::string& shard,
 /// The shard index a "shardK" name denotes, or -1 for foreign names (the
 /// identity cross-check is skipped for those).
 long shard_index_of(const std::string& shard_name) {
-  if (shard_name.rfind("shard", 0) != 0) return -1;
-  const std::string digits = shard_name.substr(5);
-  if (digits.empty()) return -1;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(digits.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return -1;
+  std::uint64_t value = 0;
+  if (shard_name.rfind("shard", 0) != 0 ||
+      !util::parse_uint64(std::string_view(shard_name).substr(5), value))
+    return -1;
   return static_cast<long>(value);
 }
 
-/// Verifies one journaled snapshot: file readable, body parses, FNV content
-/// checksum matches the ledger record, shard/seq identity matches the key.
+/// Verifies one journaled snapshot: file readable, body parses, CRC-32C
+/// content checksum matches the ledger record, shard/seq identity matches
+/// the key.
 SnapshotCheck check_snapshot(const std::string& cell,
                              const std::string& shard_name, std::uint64_t seq,
                              const std::vector<std::string>& fields) {

@@ -1,6 +1,6 @@
 // Offline integrity scrubber for a locprivd run directory. Verifies the
 // run ledger record by record (per-line CRC-32C + syntax) and every
-// journaled shard snapshot (FNV-1a content checksum against the ledger
+// journaled shard snapshot (CRC-32C content checksum against the ledger
 // record, shard/seq identity), and reports whether the directory would
 // resume without divergence — each shard must have at least one loadable
 // snapshot within its newest-two retention window, mirroring the service's

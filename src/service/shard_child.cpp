@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "service/driver.hpp"
 #include "service/snapshot.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 
@@ -42,18 +42,9 @@ void note(const std::string& text) {
   write_all(STDERR_FILENO, line.data(), line.size());
 }
 
-double parse_coord(const std::string& token) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == nullptr || *end != '\0')
-    throw Error(ErrorCode::kInternal, "bad coordinate on submit: " + token);
-  return value;
-}
-
-std::int64_t parse_i64(const std::string& token) {
-  char* end = nullptr;
-  const long long value = std::strtoll(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
+std::uint64_t parse_u64(const std::string& token) {
+  std::uint64_t value = 0;
+  if (!util::parse_uint64(token, value))
     throw Error(ErrorCode::kInternal, "bad integer on command: " + token);
   return value;
 }
@@ -64,9 +55,10 @@ struct ShardState {
   const core::PrivacyAnalyzer& analyzer;
   const ServiceOptions& options;
 
-  std::map<std::string, std::vector<trace::TracePoint>> users;
+  /// The live per-user fixes and applied-seq watermark, kept in snapshot
+  /// form so write_snapshot() encodes it in place, with no copy.
+  ShardSnapshot state;
   std::map<std::string, std::size_t> index_of;  ///< user id -> analyzer index.
-  std::uint64_t last_seq = 0;   ///< Highest applied submit-batch sequence.
   std::uint64_t ingested = 0;   ///< Fixes applied this lifetime of state.
   int batches_this_incarnation = 0;
 
@@ -74,32 +66,31 @@ struct ShardState {
              const core::PrivacyAnalyzer& analyzer,
              const ServiceOptions& options)
       : config(config), analyzer(analyzer), options(options) {
+    state.shard = config.shard;
     for (std::size_t i = 0; i < analyzer.user_count(); ++i)
       index_of.emplace(analyzer.reference(i).user_id, i);
   }
 
   std::size_t state_bytes() const {
     std::size_t bytes = 0;
-    for (const auto& [user, fixes] : users)
+    for (const auto& [user, fixes] : state.users)
       bytes += user.size() + 64 + fixes.capacity() * sizeof(trace::TracePoint);
     return bytes;
   }
 
   void handle_restore(const std::vector<std::string>& cmd) {
     try {
-      const ShardSnapshot snapshot = load_snapshot(cmd[1]);
-      const auto expect_seq = static_cast<std::uint64_t>(parse_i64(cmd[2]));
+      ShardSnapshot snapshot = load_snapshot(cmd[1]);
+      const auto expect_seq = parse_u64(cmd[2]);
       if (snapshot.shard != config.shard || snapshot.seq != expect_seq)
         throw Error(ErrorCode::kResume,
                     "snapshot identity mismatch: file is shard " +
                         std::to_string(snapshot.shard) + " seq " +
                         std::to_string(snapshot.seq));
-      users = snapshot.users;
-      last_seq = snapshot.last_seq;
-      ingested = 0;
-      for (const auto& [user, fixes] : users) ingested += fixes.size();
+      state = std::move(snapshot);
+      ingested = state.fix_count();
       respond(config.resp_fd,
-              {wire::kRspRestored, std::to_string(last_seq),
+              {wire::kRspRestored, std::to_string(state.last_seq),
                std::to_string(ingested), "ok"});
     } catch (const Error& e) {
       respond(config.resp_fd, {wire::kRspRestored, "0", "0", e.what()});
@@ -107,8 +98,9 @@ struct ShardState {
   }
 
   void handle_submit(const std::vector<std::string>& cmd) {
-    const auto seq = static_cast<std::uint64_t>(parse_i64(cmd[1]));
-    if (seq <= last_seq) {
+    if (cmd.size() != 4) throw Error(ErrorCode::kInternal, "bad submit frame");
+    const auto seq = parse_u64(cmd[1]);
+    if (seq <= state.last_seq) {
       // Replayed batch already in a snapshot. Still acked: the parent's
       // credit window counts every consumed frame, applied or deduped.
       respond(config.resp_fd, {wire::kRspAck, cmd[1], "0"});
@@ -122,19 +114,10 @@ struct ShardState {
       // respawned incarnation replays it and no fix is lost.
       options.fault_plan.trigger(config.name, config.incarnation);
     }
-    const std::string& user_id = cmd[2];
-    const auto count = static_cast<std::size_t>(parse_i64(cmd[3]));
-    std::vector<trace::TracePoint>& fixes = users[user_id];
-    fixes.reserve(fixes.size() + count);
-    for (std::size_t i = 0; i < count; ++i) {
-      trace::TracePoint fix;
-      fix.position.lat_deg = parse_coord(cmd[4 + 3 * i]);
-      fix.position.lon_deg = parse_coord(cmd[5 + 3 * i]);
-      fix.timestamp_s = parse_i64(cmd[6 + 3 * i]);
-      fixes.push_back(fix);
-    }
-    last_seq = seq;
-    ingested += count;
+    if (!unpack_fixes(cmd[3], state.users[cmd[2]]))
+      throw Error(ErrorCode::kInternal, "ragged submit records");
+    state.last_seq = seq;
+    ingested += cmd[3].size() / kPackedFixBytes;
     // The ack is the flow-control credit: it is sent only after the batch
     // is applied, so a crash loses at most the unacked in-flight window and
     // the parent's retained replay covers exactly that suffix.
@@ -142,14 +125,10 @@ struct ShardState {
   }
 
   bool write_snapshot(const std::vector<std::string>& cmd, const char* verb) {
-    const auto snap_seq = static_cast<std::uint64_t>(parse_i64(cmd[1]));
+    const auto snap_seq = parse_u64(cmd[1]);
     const std::string& path = cmd[2];
-    ShardSnapshot snapshot;
-    snapshot.shard = config.shard;
-    snapshot.seq = snap_seq;
-    snapshot.last_seq = last_seq;
-    snapshot.users = users;
-    const std::string encoded = encode_snapshot(snapshot);
+    state.seq = snap_seq;
+    const std::string encoded = encode_snapshot(state);
     try {
       harness::AtomicFileWriter writer(path);
       writer.stream() << encoded;
@@ -164,9 +143,9 @@ struct ShardState {
       return false;
     }
     respond(config.resp_fd,
-            {verb, std::to_string(snap_seq), std::to_string(last_seq),
-             std::to_string(users.size()),
-             std::to_string(snapshot.fix_count()),
+            {verb, std::to_string(snap_seq), std::to_string(state.last_seq),
+             std::to_string(state.users.size()),
+             std::to_string(state.fix_count()),
              snapshot_checksum(encoded)});
     return true;
   }
@@ -177,8 +156,8 @@ struct ShardState {
     std::size_t cols = 0;
     for (std::size_t i = 0; i < analyzer.user_count(); ++i) {
       const std::string& user_id = analyzer.reference(i).user_id;
-      const auto it = users.find(user_id);
-      if (it == users.end()) continue;
+      const auto it = state.users.find(user_id);
+      if (it == state.users.end()) continue;
       const core::ExposureReport report =
           analyzer.evaluate_collected(i, options.interval_s, it->second);
       const std::vector<std::string> fields =

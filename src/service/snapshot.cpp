@@ -1,61 +1,64 @@
 #include "service/snapshot.hpp"
 
+#include <bit>
+#include <cstddef>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <cstring>
+#include <limits>
+#include <type_traits>
 
+#include "core/harness/crc32c.hpp"
 #include "core/harness/error.hpp"
 #include "core/harness/file_ops.hpp"
+#include "util/strings.hpp"
 
 namespace locpriv::service {
 
+// A packed record is a TracePoint's own little-endian bytes. The layout is
+// pinned here so a field added to TracePoint breaks the build, not the format.
+static_assert(std::endian::native == std::endian::little,
+              "packed fix records are little-endian");
+static_assert(std::is_trivially_copyable_v<trace::TracePoint> &&
+                  sizeof(trace::TracePoint) == kPackedFixBytes &&
+                  offsetof(geo::LatLon, lon_deg) == 8 &&
+                  offsetof(trace::TracePoint, timestamp_s) == 16,
+              "TracePoint must be (double lat, double lon, int64 ts)");
+
 namespace {
 
-constexpr char kMagic[] = "locprivd-snapshot v1";
-
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
+constexpr std::string_view kMagic = "locprivd-snapshot v2 checksum ";
+constexpr std::size_t kChecksumHexDigits = 8;
 
 [[noreturn]] void corrupt(const std::string& why) {
   throw Error(ErrorCode::kResume, "corrupt shard snapshot: " + why);
 }
 
-/// Pops the next whitespace-delimited token; empty at end of input.
-std::string next_token(std::istringstream& in) {
-  std::string token;
-  in >> token;
-  return token;
+std::string_view record_bytes(const std::vector<trace::TracePoint>& fixes) {
+  return {reinterpret_cast<const char*>(fixes.data()),
+          fixes.size() * kPackedFixBytes};
 }
 
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  if (token.empty()) corrupt(std::string("missing ") + what);
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
-    corrupt(std::string("bad ") + what + " '" + token + "'");
+/// Splits off the text before the next `delim`, consuming the delimiter.
+/// A line must be terminated; a line's last token need not be.
+std::string_view take(std::string_view& rest, char delim) {
+  const std::size_t end = rest.find(delim);
+  if (end == std::string_view::npos && delim == '\n') corrupt("unterminated line");
+  const std::string_view head = rest.substr(0, end);
+  rest.remove_prefix(end == std::string_view::npos ? rest.size() : end + 1);
+  return head;
+}
+
+std::uint64_t parse_u64(std::string_view token, std::string_view what) {
+  std::uint64_t value = 0;
+  if (!util::parse_uint64(token, value))
+    corrupt("bad " + std::string(what) + " '" + std::string(token) + "'");
   return value;
 }
 
-double parse_coord(const std::string& token) {
-  if (token.empty()) corrupt("missing coordinate");
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == nullptr || *end != '\0')
-    corrupt("bad coordinate '" + token + "'");
-  return value;
+/// Consumes "<key> <u64>" from the front of a text line.
+std::uint64_t take_field(std::string_view& line, std::string_view key) {
+  if (take(line, ' ') != key) corrupt("missing " + std::string(key) + " field");
+  return parse_u64(take(line, ' '), key);
 }
 
 }  // namespace
@@ -72,72 +75,89 @@ std::string format_coord(double value) {
   return buffer;
 }
 
+std::string pack_fixes(const std::vector<trace::TracePoint>& fixes) {
+  return std::string(record_bytes(fixes));
+}
+
+bool unpack_fixes(std::string_view packed,
+                  std::vector<trace::TracePoint>& out) {
+  if (packed.size() % kPackedFixBytes != 0) return false;
+  const std::size_t old_size = out.size();
+  out.resize(old_size + packed.size() / kPackedFixBytes);
+  if (!packed.empty())
+    std::memcpy(out.data() + old_size, packed.data(), packed.size());
+  return true;
+}
+
 std::string encode_snapshot(const ShardSnapshot& snapshot) {
-  std::string body;
-  body += "shard " + std::to_string(snapshot.shard) + " seq " +
-          std::to_string(snapshot.seq) + " last_seq " +
-          std::to_string(snapshot.last_seq) + " users " +
-          std::to_string(snapshot.users.size()) + " fixes " +
-          std::to_string(snapshot.fix_count()) + "\n";
-  for (const auto& [user, fixes] : snapshot.users) {
-    body += "user " + user + " " + std::to_string(fixes.size()) + "\n";
-    for (const trace::TracePoint& fix : fixes) {
-      body += format_coord(fix.position.lat_deg) + " " +
-              format_coord(fix.position.lon_deg) + " " +
-              std::to_string(fix.timestamp_s) + "\n";
-    }
+  const std::size_t fixes = snapshot.fix_count();
+  std::string out;
+  out.reserve(128 + fixes * kPackedFixBytes + snapshot.users.size() * 48);
+  // The checksum slot is filled last, in place, so the body is built once.
+  out.append(kMagic).append(kChecksumHexDigits, '0').push_back('\n');
+  const std::size_t body = out.size();
+  out += "shard " + std::to_string(snapshot.shard) + " seq " +
+         std::to_string(snapshot.seq) + " last_seq " +
+         std::to_string(snapshot.last_seq) + " users " +
+         std::to_string(snapshot.users.size()) + " fixes " +
+         std::to_string(fixes) + "\n";
+  for (const auto& [user, records] : snapshot.users) {
+    out += "user " + user + " " + std::to_string(records.size()) + "\n";
+    out += record_bytes(records);
   }
-  return std::string(kMagic) + " checksum " + hex64(fnv1a(body)) + "\n" + body;
+  out.replace(kMagic.size(), kChecksumHexDigits,
+              harness::crc32c_hex(std::string_view(out).substr(body)));
+  return out;
 }
 
 std::string snapshot_checksum(const std::string& encoded) {
   const std::size_t eol = encoded.find('\n');
   if (eol == std::string::npos) corrupt("no header line");
-  return hex64(fnv1a(encoded.substr(eol + 1)));
+  return harness::crc32c_hex(std::string_view(encoded).substr(eol + 1));
 }
 
 ShardSnapshot parse_snapshot(const std::string& encoded) {
-  const std::size_t eol = encoded.find('\n');
-  if (eol == std::string::npos) corrupt("no header line");
-  const std::string header = encoded.substr(0, eol);
-  const std::string expected_prefix = std::string(kMagic) + " checksum ";
-  if (header.rfind(expected_prefix, 0) != 0) corrupt("bad magic");
-  const std::string recorded = header.substr(expected_prefix.size());
-  const std::string body = encoded.substr(eol + 1);
-  if (hex64(fnv1a(body)) != recorded) corrupt("checksum mismatch");
+  std::string_view rest = encoded;
+  const std::string_view magic = take(rest, '\n');
+  if (magic.substr(0, kMagic.size()) != kMagic)
+    corrupt("header '" + std::string(magic.substr(0, kMagic.size())) +
+            "' is not format v2 (v1 text snapshots are no longer readable)");
+  if (magic.substr(kMagic.size()) != harness::crc32c_hex(rest))
+    corrupt("checksum mismatch");
 
-  std::istringstream in(body);
   ShardSnapshot snapshot;
-  if (next_token(in) != "shard") corrupt("missing shard field");
-  snapshot.shard = static_cast<unsigned>(parse_u64(next_token(in), "shard"));
-  if (next_token(in) != "seq") corrupt("missing seq field");
-  snapshot.seq = parse_u64(next_token(in), "seq");
-  if (next_token(in) != "last_seq") corrupt("missing last_seq field");
-  snapshot.last_seq = parse_u64(next_token(in), "last_seq");
-  if (next_token(in) != "users") corrupt("missing users field");
-  const std::uint64_t user_count = parse_u64(next_token(in), "users");
-  if (next_token(in) != "fixes") corrupt("missing fixes field");
-  const std::uint64_t fix_total = parse_u64(next_token(in), "fixes");
+  std::string_view header = take(rest, '\n');
+  const std::uint64_t shard = take_field(header, "shard");
+  if (shard > std::numeric_limits<unsigned>::max()) corrupt("bad shard");
+  snapshot.shard = static_cast<unsigned>(shard);
+  snapshot.seq = take_field(header, "seq");
+  snapshot.last_seq = take_field(header, "last_seq");
+  const std::uint64_t user_count = take_field(header, "users");
+  const std::uint64_t fix_total = take_field(header, "fixes");
+  if (!header.empty()) corrupt("trailing header fields");
 
+  std::uint64_t fixes_seen = 0;
   for (std::uint64_t u = 0; u < user_count; ++u) {
-    if (next_token(in) != "user") corrupt("missing user record");
-    const std::string user_id = next_token(in);
-    if (user_id.empty()) corrupt("missing user id");
-    const std::uint64_t count = parse_u64(next_token(in), "user fix count");
+    std::string_view line = take(rest, '\n');
+    if (take(line, ' ') != "user") corrupt("bad user record");
+    const std::string user_id(take(line, ' '));
+    if (user_id.empty()) corrupt("empty user id");
+    const std::uint64_t count = parse_u64(line, "fix count");
+    // Bound the claimed count by the bytes actually present before any
+    // allocation sized from it.
+    if (count > rest.size() / kPackedFixBytes)
+      corrupt("user " + user_id + " claims " + std::to_string(count) +
+              " fixes past the end of the body");
+    const std::size_t bytes = static_cast<std::size_t>(count) * kPackedFixBytes;
     std::vector<trace::TracePoint> fixes;
-    fixes.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      trace::TracePoint fix;
-      fix.position.lat_deg = parse_coord(next_token(in));
-      fix.position.lon_deg = parse_coord(next_token(in));
-      fix.timestamp_s =
-          static_cast<std::int64_t>(parse_u64(next_token(in), "timestamp"));
-      fixes.push_back(fix);
-    }
-    snapshot.users.emplace(user_id, std::move(fixes));
+    if (!unpack_fixes(rest.substr(0, bytes), fixes)) corrupt("ragged records");
+    rest.remove_prefix(bytes);
+    fixes_seen += count;
+    if (!snapshot.users.emplace(user_id, std::move(fixes)).second)
+      corrupt("duplicate user " + user_id);
   }
-  if (snapshot.fix_count() != fix_total) corrupt("fix count mismatch");
-  if (!next_token(in).empty()) corrupt("trailing data");
+  if (fixes_seen != fix_total) corrupt("fix count mismatch");
+  if (!rest.empty()) corrupt("trailing data");
   return snapshot;
 }
 

@@ -1,22 +1,28 @@
-// Shard snapshot codec. A snapshot is the complete per-user collected-fix
-// state of one shard at a submit-sequence watermark, serialized to text with
-// hexfloat coordinates (exact double round-trip, so a restored shard's
-// metrics are byte-identical to an uninterrupted one's) and guarded by an
-// FNV-1a checksum over the body. Snapshots are published through
-// AtomicFileWriter, so a crash mid-write leaves the previous complete
-// version; the checksum catches the remaining corruption class (a stale or
-// hand-edited file), and parse failures surface as Error(kResume) so the
-// caller can fall back or refuse loudly instead of diverging silently.
+// Shard snapshot codec, plus the packed fix records it shares with the
+// submit wire frame: 24 bytes per fix (double lat, double lon, int64 ts,
+// host little-endian), so a restored shard holds bit-identical state and
+// its metrics match an uninterrupted one's byte for byte. Layout (v2):
+//   locprivd-snapshot v2 checksum <crc32c of the rest, %08x>\n
+//   shard <k> seq <n> last_seq <n> users <n> fixes <n>\n
+//   per user: user <id> <count>\n, then count packed records
+// Snapshots are published through AtomicFileWriter, so a crash mid-write
+// leaves the previous version; the CRC-32C catches stale or edited files,
+// and every parse failure surfaces as Error(kResume) so the caller falls
+// back or refuses loudly instead of diverging silently.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/trajectory.hpp"
 
 namespace locpriv::service {
+
+/// Bytes per packed fix record.
+inline constexpr std::size_t kPackedFixBytes = 24;
 
 struct ShardSnapshot {
   unsigned shard = 0;          ///< Owning shard index.
@@ -32,15 +38,23 @@ struct ShardSnapshot {
 /// Exact-round-trip text for a coordinate ("%a" hexfloat).
 std::string format_coord(double value);
 
+/// Packs fixes as consecutive 24-byte records.
+std::string pack_fixes(const std::vector<trace::TracePoint>& fixes);
+
+/// Appends the records of `packed` to `out`. Returns false, leaving `out`
+/// untouched, when the size is not a multiple of kPackedFixBytes.
+[[nodiscard]] bool unpack_fixes(std::string_view packed,
+                                std::vector<trace::TracePoint>& out);
+
 /// Serializes a snapshot, checksum header included.
 std::string encode_snapshot(const ShardSnapshot& snapshot);
 
 /// Checksum of an encoded snapshot's body, as recorded in the run ledger.
 std::string snapshot_checksum(const std::string& encoded);
 
-/// Parses an encoded snapshot. Throws Error(kResume) on a bad header,
-/// checksum mismatch, or truncated body — a snapshot either loads exactly
-/// or not at all.
+/// Parses an encoded snapshot. Throws Error(kResume) on a bad or v1 header,
+/// checksum mismatch, a record count past the bytes left, or trailing
+/// bytes — a snapshot either loads exactly or not at all.
 ShardSnapshot parse_snapshot(const std::string& encoded);
 
 /// Reads and parses a snapshot file. Throws Error(kResume) when the file is

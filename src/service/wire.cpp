@@ -59,7 +59,8 @@ bool FrameDecoder::next(std::vector<std::string>& fields) {
   std::size_t offset = 0;
   const std::uint32_t count = read_u32(payload);
   offset += 4;
-  if (count > kMaxFieldCount) {
+  // Each field needs at least its 4-byte length: refuse before reserve().
+  if (count > kMaxFieldCount || count > (payload_size - 4) / 4) {
     corrupt_ = true;
     return false;
   }

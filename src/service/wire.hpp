@@ -16,7 +16,9 @@ namespace locpriv::service::wire {
 
 // Command verbs (parent -> shard). Fields after the verb are positional.
 inline constexpr char kCmdRestore[] = "restore";   ///< file, expect_seq
-inline constexpr char kCmdSubmit[] = "submit";     ///< seq, user, n, (lat lon ts)*n
+/// seq, user, records: one field of n packed 24-byte (double lat, double
+/// lon, int64 ts) records, the layout of service/snapshot.hpp pack_fixes().
+inline constexpr char kCmdSubmit[] = "submit";
 inline constexpr char kCmdPing[] = "ping";         ///< token
 inline constexpr char kCmdSnapshot[] = "snapshot"; ///< snap_seq, file
 inline constexpr char kCmdReport[] = "report";     ///< token

@@ -52,28 +52,43 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool parse_double(std::string_view text, double& out) {
+namespace {
+
+/// Whole-token from_chars: `out` is written only when every non-blank
+/// character parsed.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
   text = trim(text);
   if (text.empty()) return false;
-  double value = 0.0;
-  const char* begin = text.data();
+  T value{};
   const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc{} || ptr != end) return false;
   out = value;
   return true;
 }
 
+}  // namespace
+
+bool parse_double(std::string_view text, double& out) {
+  return parse_number(text, out);
+}
+
 bool parse_int64(std::string_view text, long long& out) {
-  text = trim(text);
-  if (text.empty()) return false;
-  long long value = 0;
-  const char* begin = text.data();
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) return false;
-  out = value;
-  return true;
+  return parse_number(text, out);
+}
+
+bool parse_uint64(std::string_view text, std::uint64_t& out) {
+  return parse_number(text, out);
+}
+
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 std::string format_fixed(double value, int digits) {

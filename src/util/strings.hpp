@@ -1,6 +1,7 @@
 // Small string utilities shared by parsers and report writers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +32,14 @@ bool parse_double(std::string_view text, double& out);
 
 /// Parses a signed 64-bit integer with the same strictness as parse_double.
 bool parse_int64(std::string_view text, long long& out);
+
+/// Parses an unsigned 64-bit integer (decimal digits only, no sign) with
+/// the same strictness.
+bool parse_uint64(std::string_view text, std::uint64_t& out);
+
+/// 64-bit FNV-1a of `text`: the tree's one non-cryptographic string hash
+/// (shard routing, backoff jitter). Not an integrity check; that is CRC-32C.
+std::uint64_t fnv1a64(std::string_view text);
 
 /// Formats `value` with `digits` digits after the decimal point.
 std::string format_fixed(double value, int digits);

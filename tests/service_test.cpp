@@ -1,23 +1,30 @@
 // locprivd tests: the wire codec, the bounded stderr tail, the snapshot
-// codec, and the ServiceFailover battery (suite runs under the `chaos`
+// codec and packed fix records, a replay of the checked-in fuzz seed
+// corpora, and the ServiceFailover battery (suite runs under the `chaos`
 // ctest label) — shard crash/hang recovery with byte-identical metric
 // parity against the batch pipeline, graceful drain + resume, torn-ledger
 // recovery to the previous snapshot, and shard-topology resume pinning.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
+#include "core/harness/atomic_file.hpp"
+#include "core/harness/crc32c.hpp"
 #include "core/harness/error.hpp"
 #include "mobility/synthesis.hpp"
 #include "service/driver.hpp"
@@ -45,9 +52,19 @@ fs::path fresh_dir(const std::string& name) {
 
 // ---------------------------------------------------------------- wire ----
 
+trace::TracePoint make_fix(double lat, double lon, std::int64_t ts) {
+  trace::TracePoint fix;
+  fix.position.lat_deg = lat;
+  fix.position.lon_deg = lon;
+  fix.timestamp_s = ts;
+  return fix;
+}
+
 TEST(ServiceWire, MessageRoundTripsThroughDecoder) {
-  const std::vector<std::string> fields = {"submit", "7", "user_03", "2",
-                                           "0x1.5p+5", "-0x1.2p+6", "1234"};
+  const std::vector<trace::TracePoint> fixes = {
+      make_fix(42.0, -72.0, 1234), make_fix(40.0, -68.0, 1294)};
+  const std::vector<std::string> fields = {wire::kCmdSubmit, "7", "user_03",
+                                           pack_fixes(fixes)};
   const std::string encoded = wire::encode_message(fields);
   wire::FrameDecoder decoder;
   decoder.feed(encoded.data(), encoded.size());
@@ -57,6 +74,12 @@ TEST(ServiceWire, MessageRoundTripsThroughDecoder) {
   EXPECT_FALSE(decoder.next(decoded));
   EXPECT_FALSE(decoder.corrupt());
   EXPECT_EQ(decoder.buffered(), 0u);
+  // Four fields whatever the batch size; the records field is 24 B a fix.
+  ASSERT_EQ(decoded.size(), 4u);
+  EXPECT_EQ(decoded[3].size(), fixes.size() * kPackedFixBytes);
+  std::vector<trace::TracePoint> unpacked;
+  ASSERT_TRUE(unpack_fixes(decoded[3], unpacked));
+  EXPECT_EQ(unpacked, fixes);
 }
 
 TEST(ServiceWire, DecoderReassemblesByteByByteAndBackToBack) {
@@ -116,6 +139,35 @@ TEST(ServiceWire, FieldCountPastTheCapLatchesCorrupt) {
   std::vector<std::string> fields;
   EXPECT_FALSE(decoder.next(fields));
   EXPECT_TRUE(decoder.corrupt());
+}
+
+TEST(ServiceWire, FieldCountThePayloadCannotHoldLatchesCorrupt) {
+  // Exactly at the 1M-field cap but in an 8-byte payload: every field needs
+  // a 4-byte length, so the count is refused before reserve() could size
+  // a ~32 MB vector from it.
+  const std::string payload = raw_u32(wire::kMaxFieldCount) + raw_u32(0);
+  const std::string message =
+      raw_u32(static_cast<std::uint32_t>(payload.size())) + payload;
+  wire::FrameDecoder decoder;
+  decoder.feed(message.data(), message.size());
+  std::vector<std::string> fields;
+  EXPECT_FALSE(decoder.next(fields));
+  EXPECT_TRUE(decoder.corrupt());
+  EXPECT_EQ(fields.capacity(), 0u);
+}
+
+TEST(ServiceWire, FieldCountMatchingThePayloadStillDecodes) {
+  // The tightest legal frame: every field empty, 4 bytes each.
+  std::string payload = raw_u32(3);
+  for (int i = 0; i < 3; ++i) payload += raw_u32(0);
+  const std::string message =
+      raw_u32(static_cast<std::uint32_t>(payload.size())) + payload;
+  wire::FrameDecoder decoder;
+  decoder.feed(message.data(), message.size());
+  std::vector<std::string> fields;
+  ASSERT_TRUE(decoder.next(fields));
+  EXPECT_EQ(fields, std::vector<std::string>(3));
+  EXPECT_FALSE(decoder.corrupt());
 }
 
 // -------------------------------------------------------- rolling tail ----
@@ -208,8 +260,8 @@ TEST(ServiceSnapshot, RoundTripsExactDoubles) {
   const auto& b = restored.users.at("007");
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    // Bitwise equality, not approximate: hexfloat must round-trip exactly
-    // or restored shards would drift from the batch pipeline.
+    // Bitwise equality, not approximate: packed records must round-trip
+    // exactly or restored shards would drift from the batch pipeline.
     EXPECT_EQ(a[i].position.lat_deg, b[i].position.lat_deg);
     EXPECT_EQ(a[i].position.lon_deg, b[i].position.lon_deg);
     EXPECT_EQ(a[i].timestamp_s, b[i].timestamp_s);
@@ -244,6 +296,221 @@ TEST(ServiceSnapshot, MissingFileIsRefused) {
   } catch (const Error& error) {
     EXPECT_EQ(error.code(), ErrorCode::kResume);
   }
+}
+
+/// Fixes at every edge a double or int64 admits: signed zero, NaNs with
+/// payloads, infinities, subnormals, and the int64 extremes.
+std::vector<trace::TracePoint> edge_fixes() {
+  using limits = std::numeric_limits<double>;
+  const double quiet_nan = std::bit_cast<double>(0x7FF8000000000123ULL);
+  const double negative_nan = std::bit_cast<double>(0xFFF80000DEADBEEFULL);
+  return {make_fix(-0.0, 0.0, std::numeric_limits<std::int64_t>::min()),
+          make_fix(quiet_nan, negative_nan, -1),
+          make_fix(limits::infinity(), -limits::infinity(), 0),
+          make_fix(limits::denorm_min(), -limits::denorm_min(),
+                   std::numeric_limits<std::int64_t>::max()),
+          make_fix(std::bit_cast<double>(0x000FFFFFFFFFFFFFULL),
+                   limits::min(), 1496641200)};
+}
+
+void expect_bitwise_equal(const std::vector<trace::TracePoint>& a,
+                          const std::vector<trace::TracePoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].position.lat_deg),
+              std::bit_cast<std::uint64_t>(b[i].position.lat_deg)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].position.lon_deg),
+              std::bit_cast<std::uint64_t>(b[i].position.lon_deg)) << i;
+    EXPECT_EQ(a[i].timestamp_s, b[i].timestamp_s) << i;
+  }
+}
+
+TEST(ServiceSnapshot, EdgeValuesRoundTripBitwiseThroughSubmitRecords) {
+  const std::vector<trace::TracePoint> fixes = edge_fixes();
+  const std::string frame = wire::encode_message(
+      {wire::kCmdSubmit, "1", "u", pack_fixes(fixes)});
+  wire::FrameDecoder decoder;
+  decoder.feed(frame.data(), frame.size());
+  std::vector<std::string> fields;
+  ASSERT_TRUE(decoder.next(fields));
+  ASSERT_EQ(fields.size(), 4u);
+  std::vector<trace::TracePoint> unpacked;
+  ASSERT_TRUE(unpack_fixes(fields[3], unpacked));
+  expect_bitwise_equal(fixes, unpacked);
+}
+
+TEST(ServiceSnapshot, EdgeValuesRoundTripBitwiseThroughTheSnapshot) {
+  ShardSnapshot snapshot;
+  snapshot.shard = 2;
+  snapshot.seq = std::numeric_limits<std::uint64_t>::max();
+  snapshot.last_seq = std::numeric_limits<std::uint64_t>::max();
+  snapshot.users["edge"] = edge_fixes();
+  const std::string encoded = encode_snapshot(snapshot);
+  const ShardSnapshot restored = parse_snapshot(encoded);
+  EXPECT_EQ(restored.seq, snapshot.seq);
+  EXPECT_EQ(restored.last_seq, snapshot.last_seq);
+  expect_bitwise_equal(snapshot.users.at("edge"), restored.users.at("edge"));
+  EXPECT_EQ(encode_snapshot(restored), encoded);
+}
+
+TEST(ServiceSnapshot, RaggedRecordBlobIsRefusedAndLeavesTheOutputAlone) {
+  const std::string packed = pack_fixes(edge_fixes());
+  std::vector<trace::TracePoint> out = {make_fix(1.0, 2.0, 3)};
+  EXPECT_FALSE(unpack_fixes(std::string_view(packed).substr(1), out));
+  EXPECT_FALSE(unpack_fixes(packed + "x", out));
+  EXPECT_FALSE(unpack_fixes(std::string(kPackedFixBytes - 1, '\0'), out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(unpack_fixes("", out));
+  EXPECT_EQ(out.size(), 1u);
+}
+
+/// A v2 snapshot around `body` with a correct checksum, so the parser's
+/// structural checks (not the CRC) are what must refuse it.
+std::string checksummed(const std::string& body) {
+  return "locprivd-snapshot v2 checksum " + harness::crc32c_hex(body) + "\n" +
+         body;
+}
+
+void expect_resume_refusal(const std::string& encoded,
+                           const std::string& detail) {
+  try {
+    parse_snapshot(encoded);
+    ADD_FAILURE() << "snapshot parsed; expected refusal naming " << detail;
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kResume);
+    EXPECT_NE(std::string(error.what()).find(detail), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ServiceSnapshot, ChecksumIsTheCrc32cOfTheBody) {
+  const std::string encoded = encode_snapshot(sample_snapshot());
+  const std::string body = encoded.substr(encoded.find('\n') + 1);
+  EXPECT_EQ(snapshot_checksum(encoded), harness::crc32c_hex(body));
+  EXPECT_EQ(checksummed(body), encoded);
+}
+
+TEST(ServiceSnapshot, HostileUserCountIsRefusedBeforeAllocating) {
+  // 2^62 records: any reserve() sized from it would throw length_error or
+  // bad_alloc instead of the resume error; count * 24 also wraps.
+  const std::string record(kPackedFixBytes, '\0');
+  expect_resume_refusal(
+      checksummed("shard 0 seq 1 last_seq 0 users 1 fixes 1\n"
+                  "user u 4611686018427387904\n" + record),
+      "past the end");
+  // One record more than the bytes left.
+  expect_resume_refusal(
+      checksummed("shard 0 seq 1 last_seq 0 users 1 fixes 2\nuser u 2\n" +
+                  record + record.substr(1)),
+      "past the end");
+}
+
+TEST(ServiceSnapshot, TrailingBytesAreRefused) {
+  const std::string encoded = encode_snapshot(sample_snapshot());
+  expect_resume_refusal(
+      checksummed(encoded.substr(encoded.find('\n') + 1) + "\n"),
+      "trailing data");
+}
+
+TEST(ServiceSnapshot, DuplicateUserRecordIsRefused) {
+  const std::string record(kPackedFixBytes, '\0');
+  expect_resume_refusal(
+      checksummed("shard 0 seq 1 last_seq 0 users 2 fixes 2\nuser a 1\n" +
+                  record + "user a 1\n" + record),
+      "duplicate user");
+}
+
+TEST(ServiceSnapshot, V1TextSnapshotIsRefusedNamingTheVersion) {
+  // A well-formed v1 file (hexfloat text, FNV-1a checksum): there is no v1
+  // reader, so pre-v2 run directories do not resume.
+  expect_resume_refusal(
+      "locprivd-snapshot v1 checksum 73921ec01214ffb0\n"
+      "shard 0 seq 1 last_seq 0 users 0 fixes 0\n",
+      "v1");
+}
+
+// -------------------------------------------------------------- corpus ----
+
+/// The checked-in fuzz seed corpus for one harness, sorted by name.
+std::vector<fs::path> corpus_files(const std::string& harness_name) {
+  const fs::path dir =
+      fs::path(LOCPRIV_SOURCE_DIR) / "tools" / "fuzz" / "corpus" / harness_name;
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.is_regular_file()) files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Corpus naming contract: bad_*, hostile_* and no_header* seeds must be
+/// refused; every other seed must be accepted.
+bool seed_must_be_refused(const std::string& name) {
+  return name.rfind("bad_", 0) == 0 || name.rfind("hostile_", 0) == 0 ||
+         name.rfind("no_header", 0) == 0;
+}
+
+TEST(ServiceCorpus, SnapshotSeedsLoadAndRoundTripOrAreRefused) {
+  const std::vector<fs::path> files = corpus_files("snapshot");
+  ASSERT_FALSE(files.empty());
+  bool saw_valid = false;
+  for (const fs::path& file : files) {
+    const std::string name = file.filename().string();
+    const std::string bytes = read_bytes(file);
+    if (seed_must_be_refused(name)) {
+      try {
+        parse_snapshot(bytes);
+        ADD_FAILURE() << name << " loaded";
+      } catch (const Error& error) {
+        EXPECT_EQ(error.code(), ErrorCode::kResume) << name;
+      }
+      continue;
+    }
+    saw_valid = saw_valid || name.rfind("valid", 0) == 0;
+    const ShardSnapshot snapshot = parse_snapshot(bytes);
+    EXPECT_EQ(encode_snapshot(snapshot), bytes) << name;
+  }
+  EXPECT_TRUE(saw_valid);
+}
+
+TEST(ServiceCorpus, FrameSeedsRoundTripOrLatchCorrupt) {
+  const std::vector<fs::path> files = corpus_files("frame_decoder");
+  ASSERT_FALSE(files.empty());
+  bool saw_submit = false;
+  for (const fs::path& file : files) {
+    const std::string name = file.filename().string();
+    const std::string bytes = read_bytes(file);
+    ASSERT_FALSE(bytes.empty()) << name;
+    // Same replay as fuzz_frame_decoder: byte 0 picks the chunk size.
+    const std::size_t chunk =
+        static_cast<std::size_t>(static_cast<unsigned char>(bytes[0]) % 31) + 1;
+    wire::FrameDecoder decoder;
+    std::vector<std::string> fields;
+    for (std::size_t at = 1; at < bytes.size(); at += chunk) {
+      decoder.feed(bytes.data() + at, std::min(chunk, bytes.size() - at));
+      while (decoder.next(fields)) {
+        const std::string again = wire::encode_message(fields);
+        wire::FrameDecoder check;
+        check.feed(again.data(), again.size());
+        std::vector<std::string> reparsed;
+        EXPECT_TRUE(check.next(reparsed)) << name;
+        EXPECT_EQ(reparsed, fields) << name;
+        if (fields.size() == 4 && fields[0] == wire::kCmdSubmit) {
+          std::vector<trace::TracePoint> fixes;
+          EXPECT_TRUE(unpack_fixes(fields[3], fixes)) << name;
+          saw_submit = saw_submit || !fixes.empty();
+        }
+      }
+    }
+    EXPECT_EQ(decoder.corrupt(), seed_must_be_refused(name)) << name;
+  }
+  EXPECT_TRUE(saw_submit);
 }
 
 // ------------------------------------------------------------ failover ----
@@ -479,6 +746,37 @@ TEST(ServiceFailover, MismatchedShardTopologyResumeIsRefused) {
   }
 }
 
+TEST(ServiceFailover, V1SnapshotRunDirectoryIsRefusedOnResume) {
+  // Snapshot files from before format v2 are hexfloat text: nothing can
+  // load them, so the resume must refuse (exit 6) rather than start fresh.
+  const auto& analyzer = test_analyzer();
+  const fs::path run_dir = fresh_dir("v1_resume");
+  {
+    LocprivService daemon(quick_options(1), analyzer, run_dir, false);
+    std::uint64_t sent = 0;
+    drive_traffic(daemon, analyzer, quick_traffic(),
+                  [&] { return ++sent > 10; });
+    daemon.drain();
+  }
+  std::size_t rewritten = 0;
+  for (const auto& entry : fs::directory_iterator(run_dir)) {
+    if (entry.path().filename().string().find(".snap.") == std::string::npos)
+      continue;
+    harness::write_file_atomic(entry.path(),
+                               "locprivd-snapshot v1 checksum 73921ec01214ffb0\n"
+                               "shard 0 seq 1 last_seq 0 users 0 fixes 0\n");
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+  try {
+    LocprivService resumed(quick_options(1), analyzer, run_dir, true);
+    FAIL() << "a run directory of v1 snapshots was resumed";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kResume);
+    EXPECT_EQ(error.exit_code(), 6);
+  }
+}
+
 TEST(ServiceFailover, FreshRunRefusesADirectoryWithALedger) {
   const auto& analyzer = test_analyzer();
   const fs::path run_dir = fresh_dir("refuse");
@@ -665,7 +963,7 @@ TEST(ServiceOverload, DropOldestEvictsUntilTheByteCapAdmitsTheBatch) {
   const auto& analyzer = test_analyzer();
   auto options = quick_options(1);
   options.max_inflight_batches = 0;  // Only the byte cap governs admission.
-  options.max_retained_bytes = 600;
+  options.max_retained_bytes = 300;
   options.shed_policy = ShedPolicy::kDropOldest;
   options.fault_plan = sim::ProcessFaultPlan::parse("crash:1@shard0");
   options.fault_after_batches = 1;
@@ -681,9 +979,9 @@ TEST(ServiceOverload, DropOldestEvictsUntilTheByteCapAdmitsTheBatch) {
             Admission::kAccepted);
   tick_until(daemon, [&] { return daemon.stats().shard_deaths >= 1; });
 
-  // Three small frames (~170 bytes each) sit under the 600-byte cap, then a
-  // large one is admitted at the edge (the one-frame slack every admission
-  // path has).
+  // Three small frames (85 bytes each: 2 packed fixes) sit under the
+  // 300-byte cap, then a large one (517 bytes) is admitted at the edge (the
+  // one-frame slack every admission path has).
   EXPECT_EQ(daemon.submit("user_b", tiny_batch(2, 1496642200), true),
             Admission::kAccepted);
   EXPECT_EQ(daemon.submit("user_c", tiny_batch(2, 1496643200), true),

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -92,6 +93,33 @@ TEST(StorageCrc32c, SingleBitFlipChangesTheChecksum) {
   const std::uint32_t before = harness::crc32c(data);
   data[10] ^= 0x01;
   EXPECT_NE(harness::crc32c(data), before);
+}
+
+/// Bit-at-a-time CRC-32C straight from the polynomial: the reference the
+/// sliced tables must agree with.
+std::uint32_t bitwise_crc32c(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(StorageCrc32c, SlicedTablesMatchTheBitwiseReferenceAtEveryAlignment) {
+  // Every length 0..64 at every start offset 0..7: covers the 8-byte word
+  // loop, the bytewise tail, and unaligned loads of both.
+  std::string buffer(80, '\0');
+  for (std::size_t i = 0; i < buffer.size(); ++i)
+    buffer[i] = static_cast<char>((i * 131 + 7) ^ (i >> 3));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view slice(buffer.data() + offset, length);
+      EXPECT_EQ(harness::crc32c(slice), bitwise_crc32c(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 // --------------------------------------------------- fault plan spec ----
@@ -350,7 +378,7 @@ TEST(AtomicFileStorageFaults, LyingFsyncPublishesTheTruncationNotGarbage) {
   // A lying fsync is the one fault the writer cannot detect (the kernel
   // reported success); the published file is truncated at the last durable
   // byte. What the protocol still guarantees: no interleaved garbage, and
-  // downstream content checksums (snapshot FNV, ledger CRC) catch the loss.
+  // downstream content checksums (snapshot and ledger CRC-32C) catch the loss.
   const fs::path dir = fresh_dir("atomic_dropsync");
   const fs::path target = dir / "table.csv";
   StorageFaultPlan plan;
@@ -565,6 +593,27 @@ TEST(ScrubRunDir, CleanDirectoryVerifiesAndIsResumable) {
   EXPECT_TRUE(report.clean());
   EXPECT_TRUE(report.resumable);
   EXPECT_TRUE(report.repairs.empty());
+}
+
+TEST(ScrubRunDir, V1TextSnapshotIsReportedCorruptAndNotResumable) {
+  // A run directory written before snapshot format v2: the journaled
+  // checksum is the old 16-digit FNV-1a of a hexfloat text body. No v1
+  // reader exists, so scrub must flag it rather than vouch for it.
+  const fs::path dir = fresh_dir("v1_snapshot");
+  {
+    RunLedger ledger(dir, kInfo);
+    const fs::path file = dir / "shard0.snap.1";
+    harness::write_file_atomic(file,
+                               "locprivd-snapshot v1 checksum 73921ec01214ffb0\n"
+                               "shard 0 seq 1 last_seq 0 users 0 fixes 0\n");
+    ledger.record("shard0/snap/1",
+                  {file.string(), "0", "0", "0", "73921ec01214ffb0"});
+  }
+  const service::ScrubReport report = service::scrub_run_dir(dir, false);
+  ASSERT_EQ(report.snapshots.size(), 1u);
+  EXPECT_FALSE(report.snapshots[0].ok);
+  EXPECT_FALSE(report.clean());
+  EXPECT_FALSE(report.resumable);
 }
 
 TEST(ScrubRunDir, MissingLedgerIsAUsageError) {

@@ -83,6 +83,23 @@ TEST(Strings, ParseInt64Strict) {
   EXPECT_FALSE(parse_int64("", v));
 }
 
+TEST(Strings, ParseUint64Strict) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_uint64("18446744073709551615", v));
+  EXPECT_EQ(v, 18446744073709551615ULL);
+  EXPECT_TRUE(parse_uint64(" 0 ", v));
+  EXPECT_EQ(v, 0u);
+  for (const char* bad : {"-1", "+1", "", "12x", "18446744073709551616"})
+    EXPECT_FALSE(parse_uint64(bad, v)) << bad;
+  EXPECT_EQ(v, 0u);  // Untouched by every refusal.
+}
+
+TEST(Strings, Fnv1a64MatchesTheReferenceVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
 TEST(Strings, Formatting) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_percent(0.578, 1), "57.8%");

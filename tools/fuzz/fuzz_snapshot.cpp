@@ -7,10 +7,12 @@
 //   - rejection only ever surfaces as locpriv::Error (anything else would
 //     bypass the resume fallback in locprivd);
 //   - accepted input round-trips: re-encoding the parsed snapshot yields
-//     bytes the parser accepts again with identical topline state.
+//     bytes the parser accepts again with identical topline state and
+//     bit-identical fixes (NaN payloads and signed zeros included).
 // Build with -DLOCPRIV_FUZZ=ON (clang); see tools/fuzz/CMakeLists.txt.
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "core/harness/error.hpp"
@@ -29,6 +31,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         again.users.size() != snapshot.users.size() ||
         again.fix_count() != snapshot.fix_count())
       __builtin_trap();
+    auto user = snapshot.users.begin();
+    for (const auto& [id, fixes] : again.users) {
+      if (id != user->first || fixes.size() != user->second.size() ||
+          (!fixes.empty() &&
+           std::memcmp(fixes.data(), user->second.data(),
+                       fixes.size() * sizeof(fixes[0])) != 0))
+        __builtin_trap();
+      ++user;
+    }
   } catch (const locpriv::Error&) {
     // Corrupt bytes must land here — the resume fallback's contract.
   }
