@@ -1,6 +1,5 @@
 #include "core/analyzer.hpp"
 
-#include "trace/sampling.hpp"
 #include "util/expect.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -62,31 +61,35 @@ const UserReference& PrivacyAnalyzer::reference(std::size_t user) const {
 
 std::vector<poi::Poi> PrivacyAnalyzer::collected_pois(std::size_t user,
                                                       std::int64_t interval_s) const {
-  const UserReference& reference = this->reference(user);
-  const auto collected = interval_s <= 1
-                             ? reference.points
-                             : trace::decimate(reference.points, interval_s);
-  const auto stays = poi::extract_stay_points(collected, config_.extraction);
-  return poi::cluster_stay_points(stays, config_.extraction.radius_m);
+  return poi::cluster_stay_points(
+      privacy::collected_stays(reference(user).points, interval_s, config_.extraction)
+          .stays,
+      config_.extraction.radius_m);
 }
 
 ExposureReport PrivacyAnalyzer::evaluate_exposure(std::size_t user,
                                                   std::int64_t interval_s) const {
   const UserReference& reference = this->reference(user);
-  const auto collected = interval_s <= 1
-                             ? reference.points
-                             : trace::decimate(reference.points, interval_s);
-  return evaluate_collected(user, interval_s, collected);
+  const privacy::CollectedStays collected =
+      privacy::collected_stays(reference.points, interval_s, config_.extraction);
+  return score(reference, interval_s, collected.stays, collected.fixes);
 }
 
 ExposureReport PrivacyAnalyzer::evaluate_collected(
     std::size_t user, std::int64_t interval_s,
     const std::vector<trace::TracePoint>& collected) const {
-  const UserReference& reference = this->reference(user);
+  return score(reference(user), interval_s,
+               poi::extract_stay_points(collected, config_.extraction), collected.size());
+}
+
+ExposureReport PrivacyAnalyzer::score(const UserReference& reference,
+                                      std::int64_t interval_s,
+                                      const std::vector<poi::StayPoint>& stays,
+                                      std::size_t collected_fixes) const {
   ExposureReport report;
   report.interval_s = interval_s;
-  report.collected_fixes = collected.size();
-  if (collected.empty()) {
+  report.collected_fixes = collected_fixes;
+  if (collected_fixes == 0) {
     // A fully degraded substrate observed nothing: every recovery metric is
     // zero and no histogram test is attempted.
     report.poi_total.reference_count = reference.pois.size();
@@ -94,7 +97,6 @@ ExposureReport PrivacyAnalyzer::evaluate_collected(
       if (poi.visit_count() <= 3) ++report.poi_sensitive.reference_count;
     return report;
   }
-  const auto stays = poi::extract_stay_points(collected, config_.extraction);
   const auto pois = poi::cluster_stay_points(stays, config_.extraction.radius_m);
   report.extracted_pois = pois.size();
 

@@ -106,6 +106,12 @@ class PrivacyAnalyzer {
   std::vector<poi::Poi> collected_pois(std::size_t user, std::int64_t interval_s) const;
 
  private:
+  /// Everything an exposure report holds, scored from the stays an app
+  /// extracted out of `collected_fixes` collected fixes.
+  ExposureReport score(const UserReference& reference, std::int64_t interval_s,
+                       const std::vector<poi::StayPoint>& stays,
+                       std::size_t collected_fixes) const;
+
   AnalyzerConfig config_;
   std::vector<UserReference> references_;
   std::unique_ptr<privacy::RegionGrid> grid_;

@@ -1,6 +1,7 @@
 #include "geo/geodesy.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "util/expect.hpp"
@@ -33,7 +34,45 @@ inline double equirectangular_core(const LatLon& a, const LatLon& b) {
   return kEarthRadiusMeters * std::sqrt(x * x + y * y);
 }
 
+// Bounds on equirectangular_core(a, b) that skip the cosine (see
+// equirectangular_less). `upper` carries a relative pad of 2^-40 so it stays
+// an upper bound even where a compiler fuses a multiply-add in one
+// expression and not the other, an ulp-level difference. When an input is
+// not finite the cosine could be NaN; the bounds are then (-inf, inf), which
+// decide nothing.
+struct DistanceBounds {
+  double lower = 0.0;
+  double upper = 0.0;
+};
+
+inline DistanceBounds equirectangular_bounds(const LatLon& a, const LatLon& b) {
+  const double mean_lat = deg_to_rad((a.lat_deg + b.lat_deg) / 2.0);
+  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
+  if (!std::isfinite(mean_lat) || !std::isfinite(dlon)) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    return {-kInf, kInf};
+  }
+  const double y = deg_to_rad(b.lat_deg - a.lat_deg);
+  const double y2 = y * y;
+  return {kEarthRadiusMeters * std::sqrt(y2),
+          kEarthRadiusMeters * std::sqrt(dlon * dlon + y2) * (1.0 + 0x1p-40)};
+}
+
 }  // namespace
+
+bool equirectangular_less(const LatLon& a, const LatLon& b, double threshold) {
+  const DistanceBounds bounds = equirectangular_bounds(a, b);
+  if (bounds.upper < threshold) return true;
+  if (bounds.lower >= threshold) return false;
+  return equirectangular_core(a, b) < threshold;
+}
+
+bool equirectangular_greater(const LatLon& a, const LatLon& b, double threshold) {
+  const DistanceBounds bounds = equirectangular_bounds(a, b);
+  if (bounds.lower > threshold) return true;
+  if (bounds.upper <= threshold) return false;
+  return equirectangular_core(a, b) > threshold;
+}
 
 double haversine_m(const LatLon& a, const LatLon& b) {
   const double lat1 = deg_to_rad(a.lat_deg);

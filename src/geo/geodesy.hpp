@@ -22,6 +22,16 @@ double haversine_m(const LatLon& a, const LatLon& b);
 /// several times cheaper, so the stay-point inner loop uses it.
 double equirectangular_m(const LatLon& a, const LatLon& b);
 
+/// Exactly `equirectangular_m(a, b) < threshold` and `> threshold`, most
+/// pairs decided without the cosine. The distance is R·sqrt(x² + y²) with
+/// x = Δλ·cos(mean φ) and |cos| <= 1. Every rounding step is monotone, so
+/// the value computed with the cosine taken as 0 bounds it from below and
+/// the value with the cosine taken as 1 from above; the exact distance is
+/// computed only when the threshold falls between the bounds (or an input
+/// is not finite).
+bool equirectangular_less(const LatLon& a, const LatLon& b, double threshold);
+bool equirectangular_greater(const LatLon& a, const LatLon& b, double threshold);
+
 /// Batched haversine from one origin to many points: out[i] =
 /// haversine_m(origin, points[i]), with the origin's latitude conversion and
 /// cosine hoisted out of the loop. Shares its per-point core with

@@ -1,6 +1,6 @@
 #include "poi/staypoint.hpp"
 
-#include <deque>
+#include <utility>
 
 #include "geo/geodesy.hpp"
 #include "util/expect.hpp"
@@ -18,9 +18,8 @@ std::vector<ExtractionParams> table3_parameter_sets() {
 
 namespace {
 
-/// Running centroid over a set of fixes (supports add/remove for sliding
-/// windows; positions are far from poles/antimeridian so arithmetic means
-/// are valid, matching geo::centroid).
+/// Running centroid over a set of fixes (positions are far from
+/// poles/antimeridian so arithmetic means are valid, matching geo::centroid).
 class CentroidAccumulator {
  public:
   void add(const geo::LatLon& p) {
@@ -28,12 +27,6 @@ class CentroidAccumulator {
     lon_sum_ += p.lon_deg;
     ++count_;
   }
-  void remove(const geo::LatLon& p) {
-    lat_sum_ -= p.lat_deg;
-    lon_sum_ -= p.lon_deg;
-    --count_;
-  }
-  std::size_t count() const { return count_; }
   geo::LatLon centroid() const {
     LOCPRIV_EXPECT(count_ > 0);
     const auto n = static_cast<double>(count_);
@@ -46,91 +39,111 @@ class CentroidAccumulator {
   std::size_t count_ = 0;
 };
 
-geo::LatLon centroid_of(const std::deque<trace::TracePoint>& window, std::size_t begin,
-                        std::size_t end) {
-  CentroidAccumulator acc;
-  for (std::size_t i = begin; i < end; ++i) acc.add(window[i].position);
-  return acc.centroid();
-}
-
 }  // namespace
 
-std::vector<StayPoint> extract_stay_points(const std::vector<trace::TracePoint>& points,
-                                           const ExtractionParams& params) {
+StayPointExtractor::StayPointExtractor(const ExtractionParams& params)
+    : params_(params) {
   LOCPRIV_EXPECT(params.radius_m > 0.0);
   LOCPRIV_EXPECT(params.min_visit_s > 0);
   LOCPRIV_EXPECT(params.window_fixes >= 4 && params.window_fixes % 2 == 0);
+  // One slot past the window: a push lands before the window is trimmed.
+  ring_.resize(params.window_fixes + 1);
+}
 
-  const std::size_t window_size = params.window_fixes;
-  const std::size_t half = window_size / 2;
+std::size_t StayPointExtractor::slot(std::size_t i) const {
+  const std::size_t s = head_ + i;
+  return s < ring_.size() ? s : s - ring_.size();
+}
 
-  std::vector<StayPoint> stays;
+const trace::TracePoint& StayPointExtractor::at(std::size_t i) const {
+  return ring_[slot(i)];
+}
 
-  // OUTSIDE state: candidate entry window. INSIDE state: stay accumulator
-  // plus sliding exit window.
-  std::deque<trace::TracePoint> window;  // Entry window (outside) or exit window (inside).
-  bool inside = false;
-  CentroidAccumulator stay_acc;
-  std::int64_t enter_s = 0;
-  std::int64_t last_attributed_s = 0;
+void StayPointExtractor::pop_front() {
+  if (++head_ == ring_.size()) head_ = 0;
+  --size_;
+}
 
-  const auto attribute_to_stay = [&](const trace::TracePoint& point) {
-    stay_acc.add(point.position);
-    last_attributed_s = point.timestamp_s;
-  };
+geo::LatLon StayPointExtractor::window_centroid(std::size_t begin) const {
+  CentroidAccumulator acc;
+  for (std::size_t i = begin; i < size_; ++i) acc.add(at(i).position);
+  return acc.centroid();
+}
 
-  const auto close_stay = [&](bool consume_overlap) {
-    // The leading half of the exit window overlaps the stay (paper: buf_PoI
-    // and buf_Exit share an overlapped area); attribute it before closing.
-    const std::size_t overlap = consume_overlap ? std::min(half, window.size())
-                                                : window.size();
-    for (std::size_t i = 0; i < overlap; ++i) {
-      attribute_to_stay(window.front());
-      window.pop_front();
-    }
-    const std::int64_t duration = last_attributed_s - enter_s;
-    if (duration >= params.min_visit_s && stay_acc.count() > 0)
-      stays.push_back(
-          {stay_acc.centroid(), enter_s, last_attributed_s, stay_acc.count()});
-    stay_acc = CentroidAccumulator();
-    inside = false;
-    // Remaining exit-window points (the user's departure) seed the next
-    // entry window so back-to-back stays are both detected.
-  };
+geo::LatLon StayPointExtractor::stay_centroid() const {
+  const auto n = static_cast<double>(stay_count_);
+  return {stay_lat_sum_ / n, stay_lon_sum_ / n};
+}
 
-  for (const auto& point : points) {
-    window.push_back(point);
-    if (!inside) {
-      if (window.size() > window_size) window.pop_front();
-      if (window.size() < window_size) continue;
-      // buf_Entry = the full window; the nascent buf_PoI = its trailing
-      // half (the two buffers overlap by half of buf_Entry).
-      const geo::LatLon entry_centroid = centroid_of(window, 0, window.size());
-      const geo::LatLon poi_centroid = centroid_of(window, half, window.size());
-      if (geo::equirectangular_m(entry_centroid, poi_centroid) < params.radius_m) {
-        // Entered a stay: the trailing half becomes the stay's first fixes.
-        inside = true;
-        enter_s = window[half].timestamp_s;
-        for (std::size_t i = half; i < window.size(); ++i)
-          attribute_to_stay(window[i]);
-        window.clear();
-      }
-    } else {
-      // Points older than the exit window belong to the stay.
-      while (window.size() > window_size) {
-        attribute_to_stay(window.front());
-        window.pop_front();
-      }
-      if (window.size() < window_size) continue;
-      const geo::LatLon exit_centroid = centroid_of(window, 0, window.size());
-      if (geo::equirectangular_m(stay_acc.centroid(), exit_centroid) > params.radius_m)
-        close_stay(/*consume_overlap=*/true);
-    }
+void StayPointExtractor::attribute(const trace::TracePoint& point) {
+  stay_lat_sum_ += point.position.lat_deg;
+  stay_lon_sum_ += point.position.lon_deg;
+  ++stay_count_;
+  last_attributed_s_ = point.timestamp_s;
+}
+
+void StayPointExtractor::close_stay(std::size_t overlap) {
+  // The leading `overlap` fixes of the exit window belong to the stay
+  // (paper: buf_PoI and buf_Exit share an overlapped area).
+  for (std::size_t i = 0; i < overlap; ++i) {
+    attribute(at(0));
+    pop_front();
   }
+  const std::int64_t duration = last_attributed_s_ - enter_s_;
+  if (duration >= params_.min_visit_s && stay_count_ > 0)
+    stays_.push_back({stay_centroid(), enter_s_, last_attributed_s_, stay_count_});
+  stay_lat_sum_ = 0.0;
+  stay_lon_sum_ = 0.0;
+  stay_count_ = 0;
+  inside_ = false;
+  // Remaining exit-window points (the user's departure) seed the next
+  // entry window so back-to-back stays are both detected.
+}
 
+void StayPointExtractor::push(const trace::TracePoint& point) {
+  const std::size_t window_size = params_.window_fixes;
+  const std::size_t half = window_size / 2;
+  ring_[slot(size_)] = point;
+  ++size_;
+  if (!inside_) {
+    if (size_ > window_size) pop_front();
+    if (size_ < window_size) return;
+    // buf_Entry = the full window; the nascent buf_PoI = its trailing half
+    // (the two buffers overlap by half of buf_Entry).
+    const geo::LatLon entry_centroid = window_centroid(0);
+    const geo::LatLon poi_centroid = window_centroid(half);
+    if (geo::equirectangular_less(entry_centroid, poi_centroid, params_.radius_m)) {
+      // Entered a stay: the trailing half becomes the stay's first fixes.
+      inside_ = true;
+      enter_s_ = at(half).timestamp_s;
+      for (std::size_t i = half; i < size_; ++i) attribute(at(i));
+      size_ = 0;
+    }
+  } else {
+    // A fix older than the exit window belongs to the stay.
+    if (size_ > window_size) {
+      attribute(at(0));
+      pop_front();
+    }
+    if (size_ < window_size) return;
+    if (geo::equirectangular_greater(stay_centroid(), window_centroid(0), params_.radius_m))
+      close_stay(half);
+  }
+}
+
+std::vector<StayPoint> StayPointExtractor::finish() {
   // End of stream: an open stay absorbs the whole residual window.
-  if (inside) close_stay(/*consume_overlap=*/false);
-  return stays;
+  if (inside_) close_stay(size_);
+  head_ = 0;
+  size_ = 0;
+  return std::exchange(stays_, {});
+}
+
+std::vector<StayPoint> extract_stay_points(const std::vector<trace::TracePoint>& points,
+                                           const ExtractionParams& params) {
+  StayPointExtractor extractor(params);
+  for (const auto& point : points) extractor.push(point);
+  return extractor.finish();
 }
 
 std::vector<StayPoint> extract_stay_points_anchor(
@@ -143,6 +156,7 @@ std::vector<StayPoint> extract_stay_points_anchor(
   while (i < points.size()) {
     std::size_t j = i + 1;
     while (j < points.size() &&
+           // locpriv-lint: allow(linear-spatial-scan) ablation baseline
            geo::equirectangular_m(points[i].position, points[j].position) <=
                params.radius_m)
       ++j;

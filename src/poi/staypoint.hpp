@@ -46,10 +46,47 @@ struct ExtractionParams {
 /// The paper's Table III parameter grid, in order (set ids 1..6).
 std::vector<ExtractionParams> table3_parameter_sets();
 
-/// Extracts stay points from a time-ordered fix stream using the
-/// three-buffer Spatio-Temporal algorithm described above.
-/// Preconditions: points time-ordered; params.radius_m > 0,
-/// params.min_visit_s > 0, params.window_fixes >= 4 and even.
+/// The three-buffer Spatio-Temporal algorithm described above as a push-driven
+/// state machine: feed fixes in time order with push(), then call finish()
+/// to close a stay still open at the end of the stream and take every stay
+/// extracted so far. Memory is O(window_fixes) plus the stays: the window
+/// is a fixed ring of window_fixes + 1 slots and the open stay is a set of
+/// running sums, so push() never allocates except to append a closed stay.
+/// finish() leaves the extractor empty, ready for a new stream.
+/// Preconditions: params.radius_m > 0, params.min_visit_s > 0,
+/// params.window_fixes >= 4 and even; fixes pushed in time order.
+class StayPointExtractor {
+ public:
+  explicit StayPointExtractor(const ExtractionParams& params);
+
+  void push(const trace::TracePoint& point);
+  std::vector<StayPoint> finish();
+
+ private:
+  std::size_t slot(std::size_t i) const;  // Ring slot of window index i.
+  const trace::TracePoint& at(std::size_t i) const;
+  void pop_front();
+  geo::LatLon window_centroid(std::size_t begin) const;
+  geo::LatLon stay_centroid() const;
+  void attribute(const trace::TracePoint& point);
+  void close_stay(std::size_t overlap);
+
+  ExtractionParams params_;
+  std::vector<trace::TracePoint> ring_;  // Entry window (outside) or exit window (inside).
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  bool inside_ = false;
+  // The open stay: running sums of its fixes' coordinates.
+  double stay_lat_sum_ = 0.0;
+  double stay_lon_sum_ = 0.0;
+  std::size_t stay_count_ = 0;
+  std::int64_t enter_s_ = 0;
+  std::int64_t last_attributed_s_ = 0;
+  std::vector<StayPoint> stays_;
+};
+
+/// Extracts stay points from a time-ordered fix stream: every fix through
+/// one StayPointExtractor, then finish().
 std::vector<StayPoint> extract_stay_points(const std::vector<trace::TracePoint>& points,
                                            const ExtractionParams& params);
 

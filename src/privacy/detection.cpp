@@ -15,14 +15,31 @@ std::vector<double> DetectionConfig::make_default_fractions() {
   return fractions;
 }
 
+CollectedStays collected_stays(const std::vector<trace::TracePoint>& points,
+                               std::int64_t interval_s,
+                               const poi::ExtractionParams& extraction) {
+  CollectedStays collected;
+  if (interval_s <= 1 || points.empty()) {
+    collected.stays = poi::extract_stay_points(points, extraction);
+    collected.fixes = points.size();
+    return collected;
+  }
+  poi::StayPointExtractor extractor(extraction);
+  trace::for_each_decimated(points, interval_s, points.front().timestamp_s,
+                            [&](const trace::TracePoint& point) {
+                              extractor.push(point);
+                              ++collected.fixes;
+                            });
+  collected.stays = extractor.finish();
+  return collected;
+}
+
 PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points,
                                     Pattern pattern,
                                     const poi::ExtractionParams& extraction,
                                     const RegionGrid& grid, std::int64_t interval_s) {
-  const auto collected =
-      interval_s <= 1 ? points : trace::decimate(points, interval_s);
-  const auto stays = poi::extract_stay_points(collected, extraction);
-  const auto pois = poi::cluster_stay_points(stays, extraction.radius_m);
+  const auto pois = poi::cluster_stay_points(
+      collected_stays(points, interval_s, extraction).stays, extraction.radius_m);
   return build_histogram(pattern, pois, grid);
 }
 

@@ -37,6 +37,18 @@ struct DetectionOutcome {
   double fraction = 1.0;  ///< Smallest probed prefix fraction that matched.
 };
 
+/// The stay points an app polling `points` every `interval_s` seconds from
+/// the first fix extracts, and how many fixes it collected. The decimated
+/// fixes stream straight into a poi::StayPointExtractor in one pass and are
+/// never materialized. At interval_s <= 1 the app sees every fix.
+struct CollectedStays {
+  std::vector<poi::StayPoint> stays;
+  std::size_t fixes = 0;
+};
+CollectedStays collected_stays(const std::vector<trace::TracePoint>& points,
+                               std::int64_t interval_s,
+                               const poi::ExtractionParams& extraction);
+
 /// Builds the pattern histogram an app observing `points` at
 /// `interval_s` would obtain: decimate, extract stay points, cluster, build.
 PatternHistogram observed_histogram(const std::vector<trace::TracePoint>& points,

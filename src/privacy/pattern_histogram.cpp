@@ -6,15 +6,27 @@
 
 namespace locpriv::privacy {
 
+namespace {
+
+bool key_less(const std::pair<std::int64_t, double>& entry, std::int64_t key) {
+  return entry.first < key;
+}
+
+}  // namespace
+
 void PatternHistogram::add(std::int64_t key, double weight) {
   LOCPRIV_EXPECT(weight > 0.0);
-  counts_[key] += weight;
+  const auto it = std::lower_bound(counts_.begin(), counts_.end(), key, key_less);
+  if (it != counts_.end() && it->first == key)
+    it->second += weight;
+  else
+    counts_.emplace(it, key, weight);
   total_ += weight;
 }
 
 double PatternHistogram::count(std::int64_t key) const {
-  const auto it = counts_.find(key);
-  return it == counts_.end() ? 0.0 : it->second;
+  const auto it = std::lower_bound(counts_.begin(), counts_.end(), key, key_less);
+  return it != counts_.end() && it->first == key ? it->second : 0.0;
 }
 
 std::vector<RegionId> region_sequence(const std::vector<poi::Poi>& pois,

@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "poi/clustering.hpp"
@@ -15,7 +15,8 @@
 namespace locpriv::privacy {
 
 /// Sparse keyed histogram. Keys are RegionIds (pattern 1) or packed
-/// transitions (pattern 2); values are visit / occurrence counts.
+/// transitions (pattern 2); values are visit / occurrence counts. Stored
+/// flat: one (key, count) pair per distinct key, in ascending key order.
 class PatternHistogram {
  public:
   PatternHistogram() = default;
@@ -23,7 +24,7 @@ class PatternHistogram {
   /// Adds `weight` to `key`'s count (weight > 0).
   void add(std::int64_t key, double weight = 1.0);
 
-  /// Count for `key` (0 if absent).
+  /// Count for `key` (0 if absent). Binary search.
   double count(std::int64_t key) const;
 
   /// Number of distinct keys.
@@ -34,10 +35,11 @@ class PatternHistogram {
 
   bool empty() const { return counts_.empty(); }
 
-  const std::map<std::int64_t, double>& counts() const { return counts_; }
+  /// The (key, count) pairs in ascending key order, one per distinct key.
+  const std::vector<std::pair<std::int64_t, double>>& counts() const { return counts_; }
 
  private:
-  std::map<std::int64_t, double> counts_;
+  std::vector<std::pair<std::int64_t, double>> counts_;
   double total_ = 0.0;
 };
 

@@ -75,8 +75,10 @@ ChiSquareResult pearson_goodness_of_fit(const std::vector<double>& observed,
   result.statistic = statistic;
   result.bins = bins;
   result.dof = static_cast<double>(bins - 1);
-  result.p_lower = chi_square_cdf(statistic, result.dof);
-  result.p_upper = chi_square_survival(statistic, result.dof);
+  // Both tails from one incomplete-gamma evaluation: CDF = P(dof/2, x/2).
+  const GammaPQ tails = regularized_gamma_pq(result.dof / 2.0, statistic / 2.0);
+  result.p_lower = tails.p;
+  result.p_upper = tails.q;
   return result;
 }
 

@@ -53,20 +53,20 @@ double gamma_q_continued_fraction(double a, double x) {
 
 }  // namespace
 
-double regularized_gamma_p(double a, double x) {
+GammaPQ regularized_gamma_pq(double a, double x) {
   LOCPRIV_EXPECT(a > 0.0);
   LOCPRIV_EXPECT(x >= 0.0);
-  if (x == 0.0) return 0.0;
-  if (x < a + 1.0) return gamma_p_series(a, x);
-  return 1.0 - gamma_q_continued_fraction(a, x);
+  if (x == 0.0) return {0.0, 1.0};
+  if (x < a + 1.0) {
+    const double p = gamma_p_series(a, x);
+    return {p, 1.0 - p};
+  }
+  const double q = gamma_q_continued_fraction(a, x);
+  return {1.0 - q, q};
 }
 
-double regularized_gamma_q(double a, double x) {
-  LOCPRIV_EXPECT(a > 0.0);
-  LOCPRIV_EXPECT(x >= 0.0);
-  if (x == 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - gamma_p_series(a, x);
-  return gamma_q_continued_fraction(a, x);
-}
+double regularized_gamma_p(double a, double x) { return regularized_gamma_pq(a, x).p; }
+
+double regularized_gamma_q(double a, double x) { return regularized_gamma_pq(a, x).q; }
 
 }  // namespace locpriv::stats

@@ -13,6 +13,14 @@ double regularized_gamma_p(double a, double x);
 /// Regularised upper incomplete gamma Q(a, x) = 1 - P(a, x).
 double regularized_gamma_q(double a, double x);
 
+/// P(a, x) and Q(a, x) from one series or continued-fraction evaluation;
+/// each is bit-identical to the separate call.
+struct GammaPQ {
+  double p = 0.0;
+  double q = 1.0;
+};
+GammaPQ regularized_gamma_pq(double a, double x);
+
 /// Natural log of the Gamma function (thin wrapper; centralises the call so
 /// a custom implementation could be swapped in).
 double log_gamma(double x);

@@ -9,14 +9,9 @@ namespace locpriv::trace {
 
 std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s, std::int64_t start_s) {
-  LOCPRIV_EXPECT(interval_s > 0);
   std::vector<TracePoint> out;
-  std::int64_t next_due = start_s;
-  for (const auto& point : points) {
-    if (point.timestamp_s < next_due) continue;
-    out.push_back(point);
-    next_due = point.timestamp_s + interval_s;
-  }
+  for_each_decimated(points, interval_s, start_s,
+                     [&](const TracePoint& point) { out.push_back(point); });
   return out;
 }
 

@@ -12,13 +12,30 @@
 
 #include "stats/rng.hpp"
 #include "trace/trajectory.hpp"
+#include "util/expect.hpp"
 
 namespace locpriv::trace {
 
-/// Keeps the first fix at or after `start_s`, then greedily the next fix at
-/// least `interval_s` later, and so on — the trace an app polling every
-/// `interval_s` seconds would observe. Interval 1 with start at the first
-/// fix reproduces the full trace for 1 Hz ground truth.
+/// Calls `fn(point)` for each fix an app polling every `interval_s` seconds
+/// would observe: the first fix at or after `start_s`, then greedily the
+/// next fix at least `interval_s` later, and so on. One linear pass that
+/// materializes nothing; the rule holds for any input order (a fix earlier
+/// than the next due time is skipped, whatever came before it).
+/// Preconditions: interval_s > 0.
+template <typename Fn>
+void for_each_decimated(const std::vector<TracePoint>& points, std::int64_t interval_s,
+                        std::int64_t start_s, Fn&& fn) {
+  LOCPRIV_EXPECT(interval_s > 0);
+  std::int64_t next_due = start_s;
+  for (const auto& point : points) {
+    if (point.timestamp_s < next_due) continue;
+    fn(point);
+    next_due = point.timestamp_s + interval_s;
+  }
+}
+
+/// The fixes for_each_decimated visits, collected. Interval 1 with start at
+/// the first fix reproduces the full trace for 1 Hz ground truth.
 /// Preconditions: interval_s > 0.
 std::vector<TracePoint> decimate(const std::vector<TracePoint>& points,
                                  std::int64_t interval_s, std::int64_t start_s);

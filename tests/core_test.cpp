@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
 
 #include "core/analyzer.hpp"
 #include "core/experiment.hpp"
 #include "geo/geodesy.hpp"
 #include "market/study.hpp"
+#include "trace/sampling.hpp"
 #include "trace/geolife.hpp"
 #include "util/expect.hpp"
 
@@ -60,6 +62,48 @@ TEST(PrivacyAnalyzer, VerySlowPollingLeaksLittle) {
   const ExposureReport report = small_analyzer().evaluate_exposure(0, 7200);
   EXPECT_LT(report.poi_total.fraction(), 0.5);
   EXPECT_LT(report.collected_fixes, 200u);
+}
+
+void expect_same_report(const ExposureReport& actual, const ExposureReport& expected) {
+  EXPECT_EQ(actual.interval_s, expected.interval_s);
+  EXPECT_EQ(actual.collected_fixes, expected.collected_fixes);
+  EXPECT_EQ(actual.extracted_pois, expected.extracted_pois);
+  EXPECT_EQ(actual.poi_total.reference_count, expected.poi_total.reference_count);
+  EXPECT_EQ(actual.poi_total.recovered_count, expected.poi_total.recovered_count);
+  EXPECT_EQ(actual.poi_sensitive.reference_count, expected.poi_sensitive.reference_count);
+  EXPECT_EQ(actual.poi_sensitive.recovered_count, expected.poi_sensitive.recovered_count);
+  EXPECT_EQ(actual.hisbin_visits, expected.hisbin_visits);
+  EXPECT_EQ(actual.hisbin_movements, expected.hisbin_movements);
+  EXPECT_EQ(actual.anonymity_visits, expected.anonymity_visits);
+  EXPECT_EQ(actual.anonymity_movements, expected.anonymity_movements);
+}
+
+TEST(PrivacyAnalyzer, FusedDecimationEqualsTheMaterializedTrace) {
+  // evaluate_exposure streams decimated fixes straight into the extractor;
+  // scoring the materialized trace must give the same report. At interval 1
+  // the app sees every fix: the flattened trace can repeat a timestamp, and
+  // decimate(points, 1) would drop the repeats.
+  const PrivacyAnalyzer& analyzer = small_analyzer();
+  for (const std::int64_t interval : access_interval_ladder()) {
+    for (std::size_t user = 0; user < analyzer.user_count(); user += 7) {
+      SCOPED_TRACE("user " + std::to_string(user) + " interval " +
+                   std::to_string(interval));
+      const auto& points = analyzer.reference(user).points;
+      const auto collected = interval <= 1 ? points : trace::decimate(points, interval);
+      expect_same_report(analyzer.evaluate_exposure(user, interval),
+                         analyzer.evaluate_collected(user, interval, collected));
+      const auto pois = analyzer.collected_pois(user, interval);
+      const auto expected = poi::cluster_stay_points(
+          poi::extract_stay_points(collected, analyzer.config().extraction),
+          analyzer.config().extraction.radius_m);
+      ASSERT_EQ(pois.size(), expected.size());
+      for (std::size_t i = 0; i < pois.size(); ++i) {
+        EXPECT_EQ(pois[i].centroid.lat_deg, expected[i].centroid.lat_deg);
+        EXPECT_EQ(pois[i].centroid.lon_deg, expected[i].centroid.lon_deg);
+        EXPECT_EQ(pois[i].visit_count(), expected[i].visit_count());
+      }
+    }
+  }
 }
 
 class ExposureMonotoneTest : public ::testing::TestWithParam<std::int64_t> {};

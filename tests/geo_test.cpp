@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "geo/geodesy.hpp"
 #include "geo/latlon.hpp"
 #include "geo/projection.hpp"
+#include "stats/rng.hpp"
 #include "util/expect.hpp"
 
 namespace locpriv::geo {
@@ -40,6 +43,60 @@ TEST(Geodesy, EquirectangularMatchesHaversineAtPoiScale) {
   const double exact = haversine_m(kBeijing, near);
   const double approx = equirectangular_m(kBeijing, near);
   EXPECT_NEAR(approx, exact, 0.05);
+}
+
+TEST(Geodesy, CosFreeComparisonsEqualTheExactOnes) {
+  // Seeded pairs whose distance straddles the threshold, near the
+  // antimeridian, near and at the poles, and identical points: the
+  // bound-decided comparison must equal the comparison of the exact value.
+  stats::Rng rng(50);
+  const auto check = [](const LatLon& a, const LatLon& b, double threshold) {
+    const double exact = equirectangular_m(a, b);
+    EXPECT_EQ(equirectangular_less(a, b, threshold), exact < threshold)
+        << a.lat_deg << "," << a.lon_deg << " " << b.lat_deg << "," << b.lon_deg
+        << " t=" << threshold;
+    EXPECT_EQ(equirectangular_greater(a, b, threshold), exact > threshold)
+        << a.lat_deg << "," << a.lon_deg << " " << b.lat_deg << "," << b.lon_deg
+        << " t=" << threshold;
+  };
+  const std::vector<LatLon> origins = {
+      kBeijing, {0.0, 179.9999}, {-12.0, -179.99995}, {89.9999, 30.0}, {-90.0, 0.0},
+      {90.0, 180.0}, {0.0, 0.0}, {64.1, -21.9}};
+  for (int trial = 0; trial < 20000; ++trial) {
+    LatLon a = trial % 4 == 0
+                         ? origins[static_cast<std::size_t>(trial / 4) % origins.size()]
+                         : LatLon{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+    const double radius = rng.uniform(1.0, 200.0);
+    // A partner at about the radius, in any direction (so across ±180° and
+    // over the poles for origins there), with a jittered offset. Every
+    // third pair shares a meridian (the lower bound is then the exact
+    // value) or a parallel near the equator (the upper bound nearly is).
+    LatLon b = destination(a, rng.uniform(0.0, 360.0), radius * rng.uniform(0.2, 1.8));
+    if (trial % 9 == 0) b = a;
+    if (trial % 3 == 1) b.lon_deg = a.lon_deg;
+    if (trial % 6 == 2) a.lat_deg = b.lat_deg = rng.uniform(-1e-3, 1e-3);
+    check(a, b, radius);
+    check(b, a, radius);
+    // Thresholds at the exact value and one ulp either side.
+    const double exact = equirectangular_m(a, b);
+    if (exact > 0.0) {
+      check(a, b, exact);
+      check(a, b, std::nextafter(exact, 0.0));
+      check(a, b, std::nextafter(exact, 1e300));
+    }
+  }
+  // Inputs the bounds cannot vouch for fall back to the exact value.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  check({nan, 0.0}, {0.0, 0.0}, 50.0);
+  check({0.0, nan}, {0.0, 0.0}, 50.0);
+  check({inf, 0.0}, {inf, 0.0}, 50.0);
+  check({1e308, 0.0}, {1e308, 1e-3}, 50.0);
+  check({0.0, inf}, {0.0, 0.0}, 50.0);
+  check({0.0, 0.0}, {0.0, 0.0}, 0.0);
+  check(kBeijing, kBeijing, nan);
+  check(kBeijing, {0.0, 0.0}, inf);
+  check({nan, 0.0}, {0.0, 0.0}, inf);
 }
 
 TEST(Geodesy, SymmetricDistances) {

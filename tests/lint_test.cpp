@@ -301,6 +301,33 @@ TEST(LocprivLint, CommentsAndStringLiteralsNeverTrigger) {
   EXPECT_TRUE(lint_source("src/sample.cpp", content).empty());
 }
 
+TEST(LocprivLint, CodeAfterABlockCommentIsStillLinted) {
+  // Regression: the lexer once never left a block comment, so everything
+  // after the first `/* ... */` was blanked as comment text and a distance
+  // call in a loop below an inline `f(/*flag=*/true)` went unreported.
+  const std::string content =
+      "void scan(const std::vector<P>& points) {\n"
+      "  close_stay(/*consume_overlap=*/true);\n"
+      "  for (const auto& p : points) {\n"
+      "    if (geo::equirectangular_m(p.a, p.b) > 5.0) return;\n"
+      "  }\n"
+      "}\n";
+  const auto findings = lint_source("src/poi/staypoint.cpp", content);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "linear-spatial-scan");
+  EXPECT_EQ(findings[0].line, 4u);
+}
+
+TEST(LocprivLintLexer, BlockCommentEndsAtItsTerminator) {
+  const auto src = locpriv::lint::lex("int a; /* note */ int b;\n/* x\n*/ int c;\n");
+  std::vector<std::string> identifiers;
+  for (const auto& t : src.tokens)
+    if (t.kind == locpriv::lint::TokenKind::kIdentifier) identifiers.push_back(t.text);
+  EXPECT_EQ(identifiers, (std::vector<std::string>{"int", "a", "int", "b", "int", "c"}));
+  EXPECT_EQ(src.code.find("note"), std::string::npos);
+  EXPECT_NE(src.comments.find("note"), std::string::npos);
+}
+
 TEST(LocprivLint, StringifiedMacrosNeverReachFlowRules) {
   // A whole preprocessor directive is one token: syscalls spelled inside a
   // macro body are not call sites, with or without line continuations.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <string>
 
 #include "geo/geodesy.hpp"
 #include "poi/clustering.hpp"
@@ -186,6 +188,193 @@ TEST_P(VisitingTimeSweep, LongerVisitingTimeNeverFindsMore) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Minutes, VisitingTimeSweep, ::testing::Values(10, 20, 30, 60));
+
+// The deque-window extractor as it stood before StayPointExtractor, frozen
+// here as the oracle the push-driven state machine must reproduce bit for
+// bit (same centroid summation order, same `<` / `>` decisions).
+std::vector<StayPoint> deque_extractor_oracle(const std::vector<trace::TracePoint>& points,
+                                              const ExtractionParams& params) {
+  struct Accumulator {
+    double lat = 0.0;
+    double lon = 0.0;
+    std::size_t count = 0;
+    void add(const geo::LatLon& p) {
+      lat += p.lat_deg;
+      lon += p.lon_deg;
+      ++count;
+    }
+    geo::LatLon centroid() const {
+      const auto n = static_cast<double>(count);
+      return {lat / n, lon / n};
+    }
+  };
+  const auto centroid_of = [](const std::deque<trace::TracePoint>& window,
+                              std::size_t begin) {
+    Accumulator acc;
+    for (std::size_t i = begin; i < window.size(); ++i) acc.add(window[i].position);
+    return acc.centroid();
+  };
+  const std::size_t window_size = params.window_fixes;
+  const std::size_t half = window_size / 2;
+  std::vector<StayPoint> stays;
+  std::deque<trace::TracePoint> window;
+  bool inside = false;
+  Accumulator stay;
+  std::int64_t enter_s = 0;
+  std::int64_t last_s = 0;
+  const auto attribute = [&](const trace::TracePoint& point) {
+    stay.add(point.position);
+    last_s = point.timestamp_s;
+  };
+  const auto close_stay = [&](bool consume_overlap) {
+    const std::size_t overlap =
+        consume_overlap ? std::min(half, window.size()) : window.size();
+    for (std::size_t i = 0; i < overlap; ++i) {
+      attribute(window.front());
+      window.pop_front();
+    }
+    if (last_s - enter_s >= params.min_visit_s && stay.count > 0)
+      stays.push_back({stay.centroid(), enter_s, last_s, stay.count});
+    stay = Accumulator();
+    inside = false;
+  };
+  for (const auto& point : points) {
+    window.push_back(point);
+    if (!inside) {
+      if (window.size() > window_size) window.pop_front();
+      if (window.size() < window_size) continue;
+      if (geo::equirectangular_m(centroid_of(window, 0), centroid_of(window, half)) <
+          params.radius_m) {
+        inside = true;
+        enter_s = window[half].timestamp_s;
+        for (std::size_t i = half; i < window.size(); ++i) attribute(window[i]);
+        window.clear();
+      }
+    } else {
+      while (window.size() > window_size) {
+        attribute(window.front());
+        window.pop_front();
+      }
+      if (window.size() < window_size) continue;
+      if (geo::equirectangular_m(stay.centroid(), centroid_of(window, 0)) > params.radius_m)
+        close_stay(true);
+    }
+  }
+  if (inside) close_stay(false);
+  return stays;
+}
+
+// Dwells (jittered fixes around a centre, some jitter near the radius) and
+// legs of travel in random order, with time steps of 0..30 s so duplicate
+// timestamps occur. `end_in_dwell` makes the last segment a long dwell.
+std::vector<trace::TracePoint> random_trace(stats::Rng& rng, std::size_t segments,
+                                            bool end_in_dwell) {
+  std::vector<trace::TracePoint> points;
+  geo::LatLon at = geo::destination(kAnchor, rng.uniform(0.0, 360.0), rng.uniform(0.0, 5e3));
+  std::int64_t t = rng.uniform_int(0, 1'000'000);
+  for (std::size_t s = 0; s < segments; ++s) {
+    const bool last = s + 1 == segments;
+    if ((last && end_in_dwell) || rng.bernoulli(0.5)) {
+      const double jitter_m = rng.uniform(1.0, 60.0);
+      const auto fixes = rng.uniform_int(1, last && end_in_dwell ? 300 : 150);
+      for (std::int64_t k = 0; k < fixes; ++k) {
+        points.push_back({geo::destination(at, rng.uniform(0.0, 360.0),
+                                           std::abs(rng.normal(0.0, jitter_m))),
+                          t});
+        t += rng.uniform_int(0, 30);
+      }
+    } else {
+      const double bearing = rng.uniform(0.0, 360.0);
+      const double speed_mps = rng.uniform(0.5, 15.0);
+      const auto fixes = rng.uniform_int(1, 80);
+      for (std::int64_t k = 0; k < fixes; ++k) {
+        const std::int64_t dt = rng.uniform_int(0, 20);
+        at = geo::destination(at, bearing, speed_mps * static_cast<double>(dt));
+        t += dt;
+        points.push_back({at, t});
+      }
+    }
+  }
+  return points;
+}
+
+void expect_same_stays(const std::vector<StayPoint>& actual,
+                       const std::vector<StayPoint>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].centroid.lat_deg, expected[i].centroid.lat_deg) << i;
+    EXPECT_EQ(actual[i].centroid.lon_deg, expected[i].centroid.lon_deg) << i;
+    EXPECT_EQ(actual[i].enter_s, expected[i].enter_s) << i;
+    EXPECT_EQ(actual[i].exit_s, expected[i].exit_s) << i;
+    EXPECT_EQ(actual[i].fix_count, expected[i].fix_count) << i;
+  }
+}
+
+TEST(StayPointExtractor, MatchesTheDequeOracleOnRandomTraces) {
+  stats::Rng rng(20170605);
+  std::size_t stays_seen = 0;
+  std::size_t open_at_end = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    ExtractionParams params;
+    params.window_fixes = static_cast<std::size_t>(2 * rng.uniform_int(2, 5));  // 4..10
+    params.radius_m = rng.uniform(20.0, 120.0);
+    params.min_visit_s = rng.uniform_int(30, 900);
+    // Every tenth trial is shorter than the window (including empty).
+    const auto points =
+        trial % 10 == 0
+            ? random_trace(rng, 1, false)
+            : random_trace(rng, static_cast<std::size_t>(rng.uniform_int(1, 12)),
+                           trial % 3 == 0);
+    std::vector<trace::TracePoint> stream = points;
+    if (trial % 10 == 0)
+      stream.resize(std::min(stream.size(), static_cast<std::size_t>(trial / 10) %
+                                                params.window_fixes));
+    SCOPED_TRACE("trial " + std::to_string(trial));
+
+    const auto oracle = deque_extractor_oracle(stream, params);
+    expect_same_stays(extract_stay_points(stream, params), oracle);
+
+    StayPointExtractor extractor(params);
+    for (const auto& point : stream) extractor.push(point);
+    const auto pushed = extractor.finish();
+    expect_same_stays(pushed, oracle);
+    // finish() leaves the extractor ready for a new stream.
+    for (const auto& point : stream) extractor.push(point);
+    expect_same_stays(extractor.finish(), oracle);
+
+    stays_seen += oracle.size();
+    if (!oracle.empty() && !stream.empty() &&
+        oracle.back().exit_s == stream.back().timestamp_s)
+      ++open_at_end;
+  }
+  // The corpus exercised real stays, including ones closed by end of stream.
+  EXPECT_GT(stays_seen, 100u);
+  EXPECT_GT(open_at_end, 5u);
+}
+
+TEST(StayPointExtractor, MatchesTheOracleOnBackToBackStays) {
+  // Two dwells 700 m apart joined by a short walk, then a departure: the
+  // departure half of the first exit window seeds the second entry window.
+  auto points = make_stay_trace(15.0, 1.5, /*noise_m=*/4.0, /*seed=*/7);
+  const geo::LatLon second = geo::destination(kAnchor, 90.0, 700.0);
+  std::int64_t t = points.back().timestamp_s + 3;
+  for (int k = 0; k < 300; ++k, t += 3) points.push_back({second, t});
+  for (const std::size_t window : {4u, 6u, 8u, 10u}) {
+    ExtractionParams params;
+    params.window_fixes = window;
+    const auto oracle = deque_extractor_oracle(points, params);
+    ASSERT_EQ(oracle.size(), 2u) << window;
+    expect_same_stays(extract_stay_points(points, params), oracle);
+  }
+}
+
+TEST(StayPointExtractor, EmptyStreamAndPreconditions) {
+  StayPointExtractor extractor{ExtractionParams{}};
+  EXPECT_TRUE(extractor.finish().empty());
+  ExtractionParams odd;
+  odd.window_fixes = 5;
+  EXPECT_THROW(StayPointExtractor{odd}, util::ContractViolation);
+}
 
 TEST(AnchorExtraction, AgreesOnCleanStay) {
   const auto points = make_stay_trace(20.0);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "geo/geodesy.hpp"
 #include "privacy/adversary.hpp"
 #include "stats/entropy.hpp"
@@ -8,6 +12,7 @@
 #include "privacy/metrics.hpp"
 #include "privacy/pattern_histogram.hpp"
 #include "privacy/region.hpp"
+#include "stats/rng.hpp"
 #include "util/expect.hpp"
 
 namespace locpriv::privacy {
@@ -74,6 +79,34 @@ TEST(PatternHistogram, AddAndQuery) {
   EXPECT_DOUBLE_EQ(histogram.count(404), 0.0);
   EXPECT_DOUBLE_EQ(histogram.total(), 4.0);
   EXPECT_THROW(histogram.add(1, 0.0), util::ContractViolation);
+}
+
+TEST(PatternHistogram, CountsAreAscendingAndMergeRepeatedKeys) {
+  stats::Rng rng(4);
+  PatternHistogram histogram;
+  std::map<std::int64_t, double> oracle;
+  double total = 0.0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::int64_t key = rng.uniform_int(-60, 60) * 1'000'003;
+    const double weight = rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.1, 3.0);
+    histogram.add(key, weight);
+    oracle[key] += weight;
+    total += weight;
+  }
+  const auto& counts = histogram.counts();
+  ASSERT_EQ(counts.size(), oracle.size());
+  EXPECT_EQ(histogram.key_count(), oracle.size());
+  EXPECT_EQ(histogram.total(), total);
+  auto expected = oracle.begin();
+  for (std::size_t i = 0; i < counts.size(); ++i, ++expected) {
+    if (i > 0) {
+      EXPECT_LT(counts[i - 1].first, counts[i].first);
+    }
+    EXPECT_EQ(counts[i].first, expected->first);
+    EXPECT_EQ(counts[i].second, expected->second);  // Same sums, same order.
+    EXPECT_EQ(histogram.count(expected->first), expected->second);
+  }
+  EXPECT_EQ(histogram.count(7), 0.0);
 }
 
 TEST(PatternHistogram, VisitHistogramCountsVisitsPerRegion) {
@@ -191,6 +224,75 @@ TEST(Matching, LowerTailVariantIsDegenerateOnScarceData) {
   const auto result = match_histograms(observed, profile, lower);
   ASSERT_TRUE(result.attempted);
   EXPECT_TRUE(result.matches);  // Statistic >> 0 => lower-tail p ~ 1 => "match".
+}
+
+// match_histograms as it stood before the merge-join: categories built by
+// one count() lookup per key, profile keys first, then observed-only keys.
+MatchResult lookup_match_oracle(const PatternHistogram& observed,
+                                const PatternHistogram& profile,
+                                const MatchParams& params) {
+  MatchResult result;
+  if (observed.total() < params.min_observed_total || profile.empty()) return result;
+  std::vector<double> observed_counts;
+  std::vector<double> expected_counts;
+  for (const auto& [key, expected] : profile.counts()) {
+    observed_counts.push_back(observed.count(key));
+    expected_counts.push_back(expected);
+  }
+  if (params.unseen_key_pseudo_count > 0.0) {
+    for (const auto& [key, count] : observed.counts()) {
+      if (profile.count(key) > 0.0) continue;
+      observed_counts.push_back(count);
+      expected_counts.push_back(params.unseen_key_pseudo_count);
+    }
+  }
+  if (observed_counts.size() < 2) return result;
+  double overlap = 0.0;
+  for (const double count : observed_counts) overlap += count;
+  if (overlap <= 0.0) return result;
+  result.attempted = true;
+  if (params.test == MatchTest::kKolmogorovSmirnov) {
+    result.ks = stats::ks_two_sample(observed_counts, expected_counts);
+    result.matches = result.ks.p_value >= params.alpha;
+    return result;
+  }
+  result.chi = stats::pearson_goodness_of_fit(observed_counts, expected_counts);
+  result.matches = result.chi.p_value(params.tail) >= params.alpha;
+  return result;
+}
+
+PatternHistogram random_histogram(stats::Rng& rng, std::int64_t key_range) {
+  PatternHistogram histogram;
+  const auto keys = rng.uniform_int(0, 12);
+  for (std::int64_t i = 0; i < keys; ++i)
+    histogram.add(rng.uniform_int(0, key_range), static_cast<double>(rng.uniform_int(1, 9)));
+  return histogram;
+}
+
+TEST(Matching, MergeJoinEqualsPerKeyLookups) {
+  stats::Rng rng(17);
+  std::size_t attempted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::int64_t key_range = rng.uniform_int(1, 30);
+    const PatternHistogram observed = random_histogram(rng, key_range);
+    const PatternHistogram profile = random_histogram(rng, key_range);
+    MatchParams params;
+    params.unseen_key_pseudo_count = trial % 3 == 0 ? 0.5 : 0.0;
+    if (trial % 5 == 0) params.test = MatchTest::kKolmogorovSmirnov;
+    if (trial % 7 == 0) params.tail = stats::ChiSquareTail::kLower;
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const MatchResult actual = match_histograms(observed, profile, params);
+    const MatchResult expected = lookup_match_oracle(observed, profile, params);
+    ASSERT_EQ(actual.attempted, expected.attempted);
+    EXPECT_EQ(actual.matches, expected.matches);
+    EXPECT_EQ(actual.chi.statistic, expected.chi.statistic);
+    EXPECT_EQ(actual.chi.bins, expected.chi.bins);
+    EXPECT_EQ(actual.chi.p_lower, expected.chi.p_lower);
+    EXPECT_EQ(actual.chi.p_upper, expected.chi.p_upper);
+    EXPECT_EQ(actual.ks.p_value, expected.ks.p_value);
+    attempted += actual.attempted ? 1 : 0;
+  }
+  EXPECT_GT(attempted, 500u);
 }
 
 TEST(Matching, EmptyProfileNotAttempted) {

@@ -168,6 +168,43 @@ TEST(Decimate, EmptyAndPreconditions) {
   EXPECT_THROW(decimate(points, 0), util::ContractViolation);
 }
 
+TEST(ForEachDecimated, MatchesTheLinearRuleOnNonMonotonicInput) {
+  // The decimation rule as it stood before for_each_decimated, frozen here:
+  // a linear pass that skips any fix earlier than the next due time.
+  const auto oracle = [](const std::vector<TracePoint>& points, std::int64_t interval_s,
+                         std::int64_t start_s) {
+    std::vector<TracePoint> out;
+    std::int64_t next_due = start_s;
+    for (const auto& point : points) {
+      if (point.timestamp_s < next_due) continue;
+      out.push_back(point);
+      next_due = point.timestamp_s + interval_s;
+    }
+    return out;
+  };
+  stats::Rng rng(1812);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Time jumps backwards as well as forwards, and repeats.
+    std::vector<TracePoint> points;
+    std::int64_t t = rng.uniform_int(-1000, 1000);
+    const auto n = rng.uniform_int(0, 400);
+    for (std::int64_t i = 0; i < n; ++i) {
+      t += rng.uniform_int(-40, 60);
+      points.push_back(point_at(t, 39.9 + 1e-4 * static_cast<double>(i)));
+    }
+    const std::int64_t interval = rng.uniform_int(1, 120);
+    const std::int64_t start = rng.uniform_int(-1500, 1500);
+    std::vector<TracePoint> visited;
+    for_each_decimated(points, interval, start,
+                       [&](const TracePoint& point) { visited.push_back(point); });
+    const auto expected = oracle(points, interval, start);
+    EXPECT_EQ(visited, expected) << "trial " << trial;
+    EXPECT_EQ(decimate(points, interval, start), expected) << "trial " << trial;
+  }
+  EXPECT_THROW(for_each_decimated({point_at(0)}, 0, 0, [](const TracePoint&) {}),
+               util::ContractViolation);
+}
+
 class DecimateIntervalTest : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(DecimateIntervalTest, CountShrinksMonotonically) {

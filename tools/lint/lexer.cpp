@@ -88,6 +88,7 @@ BlankedSource blank_views(std::string_view text) {
         break;
       case State::kBlockComment:
         if (c == '*' && i + 1 < text.size() && text[i + 1] == '/') {
+          state = State::kCode;
           ++i;
         } else {
           views.comments[i] = c;
