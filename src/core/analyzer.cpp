@@ -27,6 +27,9 @@ PrivacyAnalyzer::PrivacyAnalyzer(AnalyzerConfig config,
     UserReference reference;
     reference.user_id = users[u].user_id;
     reference.points = users[u].flattened();
+    // The flattened copy is all the analyzer keeps; free the per-trajectory
+    // vectors now rather than hold every trace twice until the ctor returns.
+    std::vector<trace::Trajectory>().swap(users[u].trajectories);
     LOCPRIV_EXPECT(!reference.points.empty());
     const auto stays = poi::extract_stay_points(reference.points, config_.extraction);
     reference.pois = poi::cluster_stay_points(stays, config_.extraction.radius_m);

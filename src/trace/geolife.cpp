@@ -1,14 +1,21 @@
 #include "trace/geolife.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
-#include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/harness/atomic_file.hpp"
+#include "core/harness/fd_guard.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 
@@ -47,32 +54,99 @@ void format_date_time(std::int64_t unix_s, std::string& date, std::string& time)
   time = buffer;
 }
 
+constexpr std::size_t kHeaderLines = 6;   // Fixed-size prose header.
+constexpr std::size_t kRecordFields = 5;  // lat, lon, 0, altitude, days.
+
+bool is_line_end(char c) { return c == '\n' || c == '\r'; }
+
+/// A per-thread file buffer that only ever grows, so reading a corpus costs
+/// one heap block per worker rather than one (or two) per file.
+struct ReadBuffer {
+  std::unique_ptr<char[]> bytes;
+  std::size_t capacity = 0;
+};
+
+thread_local ReadBuffer t_read_buffer;
+
+/// Reads the whole file at `path` with one read of the size fstat reports
+/// (retried while short). The view lives in this thread's buffer until the
+/// thread's next call.
+std::string_view read_whole_file(const fs::path& path) {
+  ReadBuffer& buffer = t_read_buffer;
+  harness::FdGuard fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd) throw std::runtime_error("cannot open " + path.string());
+  struct stat info {};
+  if (::fstat(fd.get(), &info) != 0)
+    throw std::runtime_error("cannot stat " + path.string() + ": " + std::strerror(errno));
+  const auto size = static_cast<std::size_t>(info.st_size);
+  if (size > buffer.capacity) {
+    buffer.bytes = std::make_unique_for_overwrite<char[]>(size);
+    buffer.capacity = size;
+  }
+  std::size_t filled = 0;
+  while (filled < size) {
+    const ::ssize_t n = ::read(fd.get(), buffer.bytes.get() + filled, size - filled);
+    if (n > 0) {
+      filled += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n == 0) break;  // Shrank since fstat: parse what is there.
+    if (errno == EINTR) continue;
+    throw std::runtime_error("cannot read " + path.string() + ": " + std::strerror(errno));
+  }
+  return {buffer.bytes.get(), filled};
+}
+
 }  // namespace
 
 Trajectory parse_plt(std::string_view text) {
+  const char* cursor = text.data();
+  const char* const end = cursor + text.size();
+
+  // Size the vector from the line count: every line after the header holds
+  // at most one record. A lone-CR file has no '\n', so count '\r' there.
+  std::size_t lines = static_cast<std::size_t>(std::count(cursor, end, '\n'));
+  if (lines == 0) lines = static_cast<std::size_t>(std::count(cursor, end, '\r'));
+  if (!text.empty() && !is_line_end(text.back())) ++lines;
   std::vector<TracePoint> points;
+  points.reserve(lines > kHeaderLines ? lines - kHeaderLines : 0);
+
   std::size_t line_number = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
+  while (cursor < end) {
+    // One scan per line finds its terminator and cuts the first five
+    // comma-separated fields in place; later fields are never split.
+    const char* const line = cursor;
+    std::string_view fields[kRecordFields];
+    std::size_t field_count = 0;
+    const char* field = cursor;
+    for (; cursor < end; ++cursor) {
+      const char c = *cursor;
+      // Digits, '.', '-' and letters all sort above ','.
+      if (static_cast<unsigned char>(c) > ',') continue;
+      if (is_line_end(c)) break;
+      if (c == ',' && field_count < kRecordFields) {
+        fields[field_count++] = std::string_view(field, static_cast<std::size_t>(cursor - field));
+        field = cursor + 1;
+      }
+    }
+    if (field_count < kRecordFields)
+      fields[field_count++] = std::string_view(field, static_cast<std::size_t>(cursor - field));
+    const std::string_view whole(line, static_cast<std::size_t>(cursor - line));
     // Accept LF, CRLF, and lone-CR terminators: real Geolife downloads mix
     // them, and a lone-CR file would otherwise parse as one giant "header"
     // line and silently yield an empty trajectory.
-    std::size_t end = text.find_first_of("\r\n", pos);
-    std::size_t next;
-    if (end == std::string_view::npos) {
-      end = text.size();
-      next = end;
-    } else {
-      next = end + 1;
-      if (text[end] == '\r' && next < text.size() && text[next] == '\n') ++next;
+    if (cursor < end) {
+      const bool crlf = *cursor == '\r' && cursor + 1 < end && cursor[1] == '\n';
+      cursor += crlf ? 2 : 1;
     }
-    std::string_view line = util::trim(text.substr(pos, end - pos));
-    pos = next;
     ++line_number;
-    if (line_number <= 6) continue;  // Fixed-size prose header.
-    if (line.empty()) continue;
-    const auto fields = util::split(line, ',');
-    if (fields.size() < 5) parse_error(line_number, "expected >= 5 fields");
+    if (line_number <= kHeaderLines) continue;  // Fixed-size prose header.
+    if (field_count < kRecordFields) {
+      if (util::trim(whole).empty()) continue;  // Blank line.
+      parse_error(line_number, "expected >= 5 fields");
+    }
+    // parse_double trims each field, so whitespace around the line or its
+    // fields parses as it would after trimming the whole line.
     double lat = 0.0;
     double lon = 0.0;
     double days = 0.0;
@@ -84,11 +158,13 @@ Trajectory parse_plt(std::string_view text) {
     points.push_back(TracePoint{{lat, lon}, plt_days_to_unix_s(days)});
   }
   // Geolife files are chronological, but tolerate duplicated timestamps and
-  // occasional clock jitter by stable-sorting before constructing.
-  std::stable_sort(points.begin(), points.end(),
-                   [](const TracePoint& a, const TracePoint& b) {
-                     return a.timestamp_s < b.timestamp_s;
-                   });
+  // occasional clock jitter by stable-sorting before constructing. A stable
+  // sort of ordered input is the identity, so ordered files skip it.
+  const auto by_time = [](const TracePoint& a, const TracePoint& b) {
+    return a.timestamp_s < b.timestamp_s;
+  };
+  if (!std::is_sorted(points.begin(), points.end(), by_time))
+    std::stable_sort(points.begin(), points.end(), by_time);
   return Trajectory(std::move(points));
 }
 
@@ -155,11 +231,7 @@ std::vector<UserTrace> read_geolife_dataset(const fs::path& root,
       [&](std::size_t i) {
         FileSlot& slot = slots[i];
         try {
-          std::ifstream in(slot.path, std::ios::binary);
-          if (!in) throw std::runtime_error("cannot open " + slot.path.string());
-          std::ostringstream buffer;
-          buffer << in.rdbuf();
-          slot.trajectory = parse_plt(buffer.str());
+          slot.trajectory = parse_plt(read_whole_file(slot.path));
         } catch (const std::exception& error) {
           if (!options.lenient)
             throw std::runtime_error(slot.path.string() + ": " + error.what());
@@ -168,6 +240,8 @@ std::vector<UserTrace> read_geolife_dataset(const fs::path& root,
         }
       },
       options.max_threads);
+  // A sequential run used this thread's buffer; workers' died with them.
+  t_read_buffer = ReadBuffer{};
 
   for (FileSlot& slot : slots) {
     if (slot.failed) {
